@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -224,8 +225,18 @@ def cmd_verify(args) -> int:
     return 0 if report.all_passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads exponent-form negatives such as `-y -6.7e-05` as values; the
+    stock pattern accepts only `-6` and `-0.5` forms and takes the rest for
+    an unknown option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="begdob",
         description="Dobrushin uniqueness region of the BEG model",
     )

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 
 from .errors import DegenerateGroundStateError, DomainError
 
@@ -160,9 +160,3 @@ def ground_pairs(x: float, y: float) -> frozenset[tuple[int, int]]:
             f"ambiguous minimum-energy pair set {sorted(ground)} at (x={x}, y={y})"
         )
     return ground
-
-
-def all_neighbor_configs(d: int):
-    """Iterate every NeighborConfig for dimension d (3^(2d) of them)."""
-    for spins in product(SPIN_VALUES, repeat=2 * d):
-        yield NeighborConfig(spins)

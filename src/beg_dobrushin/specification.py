@@ -1,5 +1,6 @@
 """Exact single-site conditional distributions, total-variation distances and
-the exact worst-case sensitivity over boundary pairs, by full enumeration."""
+the exact worst-case sensitivity over boundary pairs, by exhaustive enumeration
+of the (k, #plus) classes of neighbor tails."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -15,9 +16,6 @@ from .errors import CapacityError, DomainError
 from .model import ModelParams, NeighborConfig, check_spin, pair_energy
 
 _NORM_TOL = 1e-12
-
-# Largest tail enumeration we are willing to run: 3^(2d-1) <= 10^7, i.e. d <= 7.
-ENUMERATION_CAP = 10**7
 
 # Unordered boundary pairs (sigma_1, sigma_1~) with sigma_1 != sigma_1~,
 # normalized so |sigma_1~| >= |sigma_1| and (-1, +1) when magnitudes tie.
@@ -87,14 +85,33 @@ def total_variation(p: SpinDistribution, q: SpinDistribution) -> float:
     return 0.5 * sum(abs(a - b) for a, b in zip(p.as_tuple(), q.as_tuple()))
 
 
+class _ClassTable(NamedTuple):
+    """One representative tail per (k, #plus) class and the class sizes."""
+
+    tails: np.ndarray  # int8, shape (d(2d+1), 2d-1)
+    mult: tuple[int, ...]  # exact multiplicities, summing to 3^(2d-1)
+
+
 @lru_cache(maxsize=None)
-def _tails(d: int) -> np.ndarray:
-    """All 3^(2d-1) assignments of the non-distinguished neighbors, one per row,
-    iterated in balanced-ternary order (-1 before 0 before +1)."""
+def _classes(d: int) -> _ClassTable:
+    """The d(2d+1) classes of tails (assignments of the 2d-1 non-distinguished
+    neighbors) with k nonzero spins of which `plus` are +1.
+
+    The conditional depends on a tail only through k and its spin sum, so a
+    class representative carries the whole class.  Each class is represented by
+    its first member in balanced-ternary order (the -1s, then the 0s, then the
+    +1s), and the classes are sorted by that member, so the first maximizer over
+    (class, pair) is the first maximizer over (tail, pair) of the full
+    enumeration.  Multiplicities C(2d-1, k) C(k, plus) are exact Python ints.
+    """
     m = 2 * d - 1
-    idx = np.arange(3**m)
-    powers = 3 ** np.arange(m - 1, -1, -1)
-    return ((idx[:, None] // powers) % 3 - 1).astype(np.int8)
+    reps = sorted(
+        ((-1,) * (k - plus) + (0,) * (m - k) + (1,) * plus, math.comb(m, k) * math.comb(k, plus))
+        for k in range(m + 1)
+        for plus in range(k + 1)
+    )
+    tails = np.array([t for t, _ in reps], dtype=np.int8).reshape(len(reps), m)
+    return _ClassTable(tails, tuple(c for _, c in reps))
 
 
 def _tv_table(params: ModelParams, tails: np.ndarray) -> np.ndarray:
@@ -119,17 +136,14 @@ def _tv_table(params: ModelParams, tails: np.ndarray) -> np.ndarray:
 def exact_max_tv(params: ModelParams) -> DobrushinReport:
     """Maximize the conditional TV distance over all tails and boundary pairs.
 
-    Enumerates all 3^(2d-1) completions of the non-distinguished neighbors and
-    the three unordered pairs of distinguished-neighbor values; by translation
-    and rotation symmetry this is the full content of the single-site condition.
-    The reported argmax is the first maximizer in (tail, pair) iteration order.
+    Covers all 3^(2d-1) completions of the non-distinguished neighbors through
+    their d(2d+1) (k, #plus) classes, for any d, and the three unordered pairs
+    of distinguished-neighbor values; by translation and rotation symmetry this
+    is the full content of the single-site condition.  The reported argmax is
+    the first maximizer in balanced-ternary (tail, pair) order.
     """
     d = params.d
-    if 3 ** (2 * d - 1) > ENUMERATION_CAP:
-        raise CapacityError(
-            f"3^(2d-1) = {3 ** (2 * d - 1)} exceeds the enumeration cap {ENUMERATION_CAP}"
-        )
-    tails = _tails(d)
+    tails = _classes(d).tails
     tv = _tv_table(params, tails)
     flat = int(np.argmax(tv))
     tail_i, pair_i = divmod(flat, tv.shape[1])

@@ -16,9 +16,9 @@ from enum import Enum
 import numpy as np
 
 from . import bounds
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 from .model import ModelParams, SubRegion, classify_region
-from .specification import ENUMERATION_CAP, PAIR_ORDER, _tails, _tv_table, exact_max_tv
+from .specification import PAIR_ORDER, _classes, _tv_table, exact_max_tv
 
 SLACK_TOL = 1e-12
 MAX_WITNESSES = 100
@@ -181,8 +181,6 @@ def _lemma1_table(params: ModelParams, tails: np.ndarray) -> np.ndarray:
 
 def _sweep_point(spec: SweepSpec, point: tuple[float, float]) -> dict[Check, CheckResult]:
     d = spec.d
-    if 3 ** (2 * d - 1) > ENUMERATION_CAP:
-        raise CapacityError(f"dimension d={d} exceeds the enumeration cap")
     x, y = point
     results = {c: CheckResult(name=c.value) for c in spec.checks}
     in_strip = classify_region(x, y).sub in (SubRegion.A, SubRegion.B, SubRegion.C)
@@ -190,9 +188,11 @@ def _sweep_point(spec: SweepSpec, point: tuple[float, float]) -> dict[Check, Che
     if requested_bound_checks and not in_strip:
         for c in requested_bound_checks:
             results[c].unclassifiable.append(point)
-    tails = _tails(d)
-    tail_tuples = None  # materialized lazily, only for failure witnesses
+    tails, mult = _classes(d)
     threshold = 1.0 / (2 * d)
+
+    def tail_of(i: int) -> tuple[int, ...]:
+        return tuple(int(v) for v in tails[i])
 
     for beta in spec.beta_grid:
         params = ModelParams(x=x, y=y, beta=beta, d=d)
@@ -206,12 +206,6 @@ def _sweep_point(spec: SweepSpec, point: tuple[float, float]) -> dict[Check, Che
             ep = bounds.exponents(params)
             rab = bounds.r_of_t(ep.a / ep.b)
 
-        def tail_of(i: int) -> tuple[int, ...]:
-            nonlocal tail_tuples
-            if tail_tuples is None:
-                tail_tuples = [tuple(int(v) for v in row) for row in tails]
-            return tail_tuples[i]
-
         def record_table(check: Check, slack: np.ndarray, cols) -> None:
             res = results[check]
             worst = float(slack.min())
@@ -219,7 +213,8 @@ def _sweep_point(spec: SweepSpec, point: tuple[float, float]) -> dict[Check, Che
                 res.worst_slack = worst
             if worst < -SLACK_TOL:
                 bad = np.argwhere(slack < -SLACK_TOL)
-                res.fail_count += len(bad)
+                # each failing class cell stands for every tail of its class
+                res.fail_count += sum(mult[int(ti)] for ti, _ in bad)
                 for ti, ci in bad:
                     if len(res.witnesses) >= MAX_WITNESSES:
                         break
@@ -261,7 +256,7 @@ def _sweep_point_task(args):
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepReport:
     """Run every requested check at every (point, beta) grid cell.
 
-    Enumerates all boundary pairs exhaustively per cell.  `workers` > 1 splits
+    Enumerates every tail class and boundary pair per cell.  `workers` > 1 splits
     points across processes; results merge in point order, so the report is
     identical for any worker count.
     """

@@ -1,7 +1,10 @@
 import random
+from functools import lru_cache
 
+import numpy as np
 import pytest
 
+from beg_dobrushin import NeighborConfig, conditional_distribution, total_variation
 from beg_dobrushin.model import MajorRegion
 
 
@@ -34,6 +37,34 @@ def point_in_major(major: MajorRegion, rng: random.Random) -> tuple[float, float
         y = -1 - x - rng.uniform(0.1, 4.0)
         return (x, y)
     raise ValueError(major)
+
+
+@lru_cache(maxsize=None)
+def full_tails(d: int) -> np.ndarray:
+    """Full-enumeration oracle: all 3^(2d-1) assignments of the
+    non-distinguished neighbors, one per row, in balanced-ternary order
+    (-1 before 0 before +1)."""
+    m = 2 * d - 1
+    idx = np.arange(3**m)
+    powers = 3 ** np.arange(m - 1, -1, -1)
+    return ((idx[:, None] // powers) % 3 - 1).astype(np.int8)
+
+
+def class_loop_max_tv(params) -> float:
+    """Scalar oracle: the largest conditional TV distance over one
+    representative tail per (k, #plus) class and every boundary pair."""
+    m = 2 * params.d - 1
+    best = 0.0
+    for k in range(m + 1):
+        for plus in range(k + 1):
+            tail = (1,) * plus + (-1,) * (k - plus) + (0,) * (m - k)
+            for s1, s1_tilde in ((-1, 1), (0, 1), (0, -1)):
+                tv = total_variation(
+                    conditional_distribution(params, NeighborConfig((s1, *tail))),
+                    conditional_distribution(params, NeighborConfig((s1_tilde, *tail))),
+                )
+                best = max(best, tv)
+    return best
 
 
 @pytest.fixture

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from beg_dobrushin import ModelParams
 from beg_dobrushin.cli import main
+from conftest import class_loop_max_tv
 
 
 def run_cli(capsys, *argv):
@@ -35,6 +37,11 @@ class TestRegionCommand:
         assert record["sub"] == "A"
         assert record["curve_x"] == pytest.approx(-7.0448644, abs=1e-4)
         assert record["in_dobrushin"] is False
+
+    def test_exponent_form_negative_value(self, capsys):
+        code, out, _ = run_cli(capsys, "region", "-d", "2", "-x", "-6", "-y", "-6.7e-05")
+        assert code == 0
+        assert json.loads(out)["y"] == -6.7e-05
 
 
 class TestCurveCommand:
@@ -107,6 +114,24 @@ class TestScanCommand:
         assert lines[0] == "beta,max_tv,threshold,satisfied"
         assert len(lines) == 6
         assert all(line.endswith("True") for line in lines[1:])
+
+    def test_large_dimension_json(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "scan", "-d", "10", "-x", "0", "-y", "-2", "--log",
+            "--beta-min", "0.1", "--beta-max", "10", "--steps", "3", "--format", "json",
+        )
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        rows = json.loads(out, parse_constant=reject)
+        assert [row["beta"] for row in rows] == [0.1, 1.0, 10.0]
+        for row in rows:
+            params = ModelParams(x=0.0, y=-2.0, beta=row["beta"], d=10)
+            assert format(row["max_tv"], ".9g") == format(class_loop_max_tv(params), ".9g")
+            assert row["threshold"] == 0.05
 
 
 class TestVerifyCommand:

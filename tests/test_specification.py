@@ -1,6 +1,8 @@
 import math
+import random
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +19,8 @@ from beg_dobrushin import (
     pair_energy,
     total_variation,
 )
+from beg_dobrushin.specification import PAIR_ORDER, _classes, _tv_table
+from conftest import class_loop_max_tv, full_tails
 
 spins = st.sampled_from((-1, 0, 1))
 
@@ -148,9 +152,15 @@ class TestExactMaxTv:
         report = exact_max_tv(ModelParams(x=0, y=-2, beta=20.0, d=2))
         assert not report.satisfied
 
-    def test_capacity_guard(self):
-        with pytest.raises(CapacityError):
-            exact_max_tv(ModelParams(x=-2, y=0, beta=1.0, d=8))
+    @pytest.mark.parametrize("d", [8, 50])
+    @pytest.mark.parametrize(
+        "x,y,beta", [(-2, 0, 1.0), (0, -2, 20.0), (-1.2, -2.0, 3.0), (-0.3, 1.5, 0.05)]
+    )
+    def test_large_d_matches_class_loop(self, d, x, y, beta):
+        params = ModelParams(x=x, y=y, beta=beta, d=d)
+        assert exact_max_tv(params).max_tv == pytest.approx(
+            class_loop_max_tv(params), rel=1e-12, abs=1e-300
+        )
 
     def test_argmax_is_a_maximizer(self):
         params = ModelParams(x=-1.5, y=-2.5, beta=2.0, d=2)
@@ -178,6 +188,39 @@ class TestExactMaxTv:
             assert brute_force_max_tv(params, distinguished_index=j) == pytest.approx(
                 report.max_tv, abs=1e-13
             )
+
+
+def full_enumeration_report(params):
+    """Tail-major first maximizer over all 3^(2d-1) tails and the pairs."""
+    tails = full_tails(params.d)
+    tv = _tv_table(params, tails)
+    tail_i, pair_i = divmod(int(np.argmax(tv)), tv.shape[1])
+    s1, s1_tilde = PAIR_ORDER[pair_i]
+    nb = NeighborConfig((s1, *(int(v) for v in tails[tail_i])))
+    return float(tv[tail_i, pair_i]), (nb, s1_tilde)
+
+
+def seeded_params(d, count=30):
+    rng = random.Random(1000 + d)
+    betas = [0.0] + [10 ** rng.uniform(-3, 1.7) for _ in range(count - 1)]
+    return [ModelParams(x=rng.uniform(-8, 2), y=rng.uniform(-5, 4), beta=b, d=d) for b in betas]
+
+
+class TestClassReduction:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_matches_full_enumeration_bit_for_bit(self, d):
+        for params in seeded_params(d):
+            report = exact_max_tv(params)
+            max_tv, argmax_pair = full_enumeration_report(params)
+            assert report.max_tv == max_tv, params
+            assert report.argmax_pair == argmax_pair, params
+
+    @pytest.mark.parametrize("d", [1, 8, 21, 50])
+    def test_multiplicities_are_exact(self, d):
+        table = _classes(d)
+        assert len(table.mult) == len(table.tails) == d * (2 * d + 1)
+        assert all(type(c) is int for c in table.mult)
+        assert sum(table.mult) == 3 ** (2 * d - 1)
 
 
 class TestFiniteVolumeMarginal:

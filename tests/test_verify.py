@@ -1,9 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
 from beg_dobrushin import (
-    CapacityError,
     Check,
     DomainError,
     ModelParams,
@@ -16,7 +16,10 @@ from beg_dobrushin import (
     run_sweep,
     total_variation,
 )
-from beg_dobrushin.verify import ALL_CHECKS, BOUND_CHECKS, log_beta_grid
+from beg_dobrushin import verify
+from beg_dobrushin.specification import _tv_table
+from beg_dobrushin.verify import ALL_CHECKS, BOUND_CHECKS, SLACK_TOL, log_beta_grid
+from conftest import full_tails
 
 
 def small_spec(**overrides):
@@ -117,10 +120,28 @@ class TestRunSweep:
         parallel = run_sweep(spec, workers=2).to_json()
         assert serial == parallel
 
-    def test_capacity_guard(self):
-        spec = small_spec(d=8, points=((-5.0, 2.0),))
-        with pytest.raises(CapacityError):
-            run_sweep(spec, workers=1)
+    def test_large_dimension_runs(self):
+        spec = small_spec(d=8, points=((-5.0, 2.0),), checks=ALL_CHECKS)
+        report = run_sweep(spec, workers=1)
+        assert len(report.checks) == len(ALL_CHECKS)
+        assert all(check.worst_slack is not None for check in report.checks)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_fail_count_weighted_by_multiplicity(self, d, monkeypatch):
+        monkeypatch.setattr(verify, "_lemma1_table", lambda params, tails: np.zeros((len(tails), 3)))
+        spec = small_spec(d=d, checks=frozenset({Check.TV_VS_LEMMA1}))
+        check = run_sweep(spec, workers=1).checks[0]
+        want = 0
+        for x, y in spec.points:
+            for beta in spec.beta_grid:
+                tv = _tv_table(ModelParams(x=x, y=y, beta=beta, d=d), full_tails(d))
+                want += int((tv > SLACK_TOL).sum())
+        assert want > 0
+        assert check.fail_count == want
+        assert check.witnesses
+        for witness in check.witnesses:
+            # the first member of a (k, #plus) class lists -1s, then 0s, then +1s
+            assert witness.tail == tuple(sorted(witness.tail))
 
 
 class TestDefaultSpec:
