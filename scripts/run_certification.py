@@ -4,10 +4,25 @@ one JSON report per dimension."""
 
 import argparse
 import pathlib
+import subprocess
 import sys
 import time
 
 from beg_dobrushin.verify import default_certification_spec, run_sweep
+
+
+def source_revision() -> str | None:
+    """HEAD of the git checkout holding this script, or None outside one."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            capture_output=True,
+            text=True,
+            cwd=pathlib.Path(__file__).resolve().parent,
+        )
+    except OSError:
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
 
 
 def main():
@@ -15,19 +30,20 @@ def main():
     parser.add_argument("--out-dir", default="reports", help="output directory")
     parser.add_argument("--points-per-region", type=int, default=20)
     parser.add_argument("--seed", type=int, default=2026)
-    parser.add_argument("--workers", type=int, default=None)
     args = parser.parse_args()
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    rev = source_revision()
     all_passed = True
     for d in (1, 2, 3):
         spec = default_certification_spec(
             d, points_per_region=args.points_per_region, seed=args.seed
         )
         start = time.perf_counter()
-        report = run_sweep(spec, workers=args.workers)
+        report = run_sweep(spec)
         elapsed = time.perf_counter() - start
+        report.git_rev = rev
         path = out_dir / f"certification_d{d}.json"
         path.write_text(report.to_json() + "\n")
         all_passed = all_passed and report.all_passed

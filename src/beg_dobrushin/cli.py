@@ -8,18 +8,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import re
 import sys
 
 import numpy as np
 
-from . import bounds, region, verify
+from . import bounds, kernel, region, verify
 from .errors import CapacityError, DomainError
 from .model import ModelParams, classify_region
-from .specification import exact_max_tv
 
-WORKERS_ENV = "BEGDOB_WORKERS"
+SPEC_KEYS = ("d", "points", "beta_min", "beta_max", "beta_steps", "checks", "seed", "points_per_region")
 
 
 def _fmt(value: float) -> str:
@@ -32,7 +31,12 @@ def _round9(value: float) -> float:
 
 def _emit_record(record: dict, fmt: str, out) -> None:
     if fmt == "json":
-        json.dump({k: _round9(v) if isinstance(v, float) else v for k, v in record.items()}, out, indent=2)
+        json.dump(
+            {k: _round9(v) if isinstance(v, float) else v for k, v in record.items()},
+            out,
+            indent=2,
+            allow_nan=False,
+        )
         out.write("\n")
     else:
         out.write(",".join(record.keys()) + "\n")
@@ -45,7 +49,7 @@ def _emit_rows(header: list[str], rows: list[tuple], fmt: str, out) -> None:
             {k: _round9(v) if isinstance(v, float) else v for k, v in zip(header, row)}
             for row in rows
         ]
-        json.dump(payload, out, indent=2)
+        json.dump(payload, out, indent=2, allow_nan=False)
         out.write("\n")
     else:
         out.write(",".join(header) + "\n")
@@ -126,11 +130,12 @@ def cmd_scan(args) -> int:
         betas = np.geomspace(args.beta_min, args.beta_max, args.steps)
     else:
         betas = np.linspace(args.beta_min, args.beta_max, args.steps)
+    # the grid lies between its endpoints, so checking them checks it all
+    ModelParams(x=args.x, y=args.y, beta=args.beta_min, d=args.d)
+    ModelParams(x=args.x, y=args.y, beta=args.beta_max, d=args.d)
     threshold = 1.0 / (2 * args.d)
-    rows = []
-    for beta in betas:
-        report = exact_max_tv(ModelParams(x=args.x, y=args.y, beta=float(beta), d=args.d))
-        rows.append((float(beta), report.max_tv, threshold, report.satisfied))
+    top = kernel.max_tv(args.d, args.x, args.y, betas)[0]
+    rows = [(beta, t, threshold, t < threshold) for beta, t in zip(betas.tolist(), top.tolist())]
     out, close = _open_output(args.output)
     try:
         _emit_rows(["beta", "max_tv", "threshold", "satisfied"], rows, args.format, out)
@@ -141,7 +146,8 @@ def cmd_scan(args) -> int:
 
 
 def parse_spec_file(path: str) -> dict:
-    """Flat key = value spec document; '#' starts a comment."""
+    """Flat key = value spec document with keys from SPEC_KEYS; '#' starts a
+    comment."""
     values: dict[str, str] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -150,8 +156,12 @@ def parse_spec_file(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise DomainError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in SPEC_KEYS:
+                raise DomainError(
+                    f"{path}:{lineno}: unknown key {key!r}; valid keys: {', '.join(SPEC_KEYS)}"
+                )
+            values[key] = value
     return values
 
 
@@ -194,18 +204,18 @@ def _spec_from_args(args) -> verify.SweepSpec:
         checks = verify.BOUND_CHECKS
     else:
         by_value = {c.value: c for c in verify.Check}
-        checks = frozenset(by_value[name.strip()] for name in names.split(","))
+        checks = set()
+        for name in (part.strip() for part in names.split(",")):
+            if name not in by_value:
+                raise DomainError(f"unknown check {name!r}; valid checks: {', '.join(by_value)}")
+            checks.add(by_value[name])
 
     beta_grid = tuple(float(b) for b in np.geomspace(beta_min, beta_max, beta_steps))
     return verify.SweepSpec(d=d, points=points, beta_grid=beta_grid, checks=checks)
 
 
 def cmd_verify(args) -> int:
-    spec = _spec_from_args(args)
-    workers = args.workers
-    if workers is None and WORKERS_ENV in os.environ:
-        workers = int(os.environ[WORKERS_ENV])
-    report = verify.run_sweep(spec, workers=workers)
+    report = verify.run_sweep(_spec_from_args(args))
     out, close = _open_output(args.output)
     try:
         out.write(report.to_json() + "\n")
@@ -223,6 +233,16 @@ def cmd_verify(args) -> int:
                 file=sys.stderr,
             )
     return 0 if report.all_passed else 1
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -248,33 +268,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("region", help="classify a coupling point")
     p.add_argument("-d", type=int, required=True)
-    p.add_argument("-x", type=float, required=True)
-    p.add_argument("-y", type=float, required=True)
+    p.add_argument("-x", type=_finite_float, required=True)
+    p.add_argument("-y", type=_finite_float, required=True)
     add_common(p, "json")
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("curve", help="export the uniqueness boundary curve")
     p.add_argument("-d", type=int, required=True)
-    p.add_argument("--y-min", type=float, required=True)
-    p.add_argument("--y-max", type=float, required=True)
+    p.add_argument("--y-min", type=_finite_float, required=True)
+    p.add_argument("--y-max", type=_finite_float, required=True)
     p.add_argument("--steps", type=int, default=101)
     add_common(p, "csv")
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("bounds", help="evaluate the analytic bounds at a point")
     p.add_argument("-d", type=int, required=True)
-    p.add_argument("-x", type=float, required=True)
-    p.add_argument("-y", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("-x", type=_finite_float, required=True)
+    p.add_argument("-y", type=_finite_float, required=True)
+    p.add_argument("--beta", type=_finite_float, required=True)
     add_common(p, "json")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("scan", help="scan the exact condition over temperatures")
     p.add_argument("-d", type=int, required=True)
-    p.add_argument("-x", type=float, required=True)
-    p.add_argument("-y", type=float, required=True)
-    p.add_argument("--beta-min", type=float, default=1e-3)
-    p.add_argument("--beta-max", type=float, default=50.0)
+    p.add_argument("-x", type=_finite_float, required=True)
+    p.add_argument("-y", type=_finite_float, required=True)
+    p.add_argument("--beta-min", type=_finite_float, default=1e-3)
+    p.add_argument("--beta-max", type=_finite_float, default=50.0)
     p.add_argument("--steps", type=int, default=40)
     p.add_argument("--log", action="store_true", help="use a logarithmic beta grid")
     add_common(p, "csv")
@@ -283,13 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a certification sweep")
     p.add_argument("--spec", default=None, help="flat key = value spec file")
     p.add_argument("-d", type=int, default=None)
-    p.add_argument("--beta-min", type=float, default=None)
-    p.add_argument("--beta-max", type=float, default=None)
+    p.add_argument("--beta-min", type=_finite_float, default=None)
+    p.add_argument("--beta-max", type=_finite_float, default=None)
     p.add_argument("--beta-steps", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--points-per-region", type=int, default=None)
     p.add_argument("--checks", default=None, help="comma-separated check names")
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_verify)
 

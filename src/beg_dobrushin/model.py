@@ -3,6 +3,7 @@ the classification of the coupling plane into its phase regions."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations_with_replacement
@@ -23,6 +24,18 @@ def check_spin(value: int) -> int:
     return value
 
 
+def check_finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def check_dimension(d: int) -> int:
+    if not isinstance(d, int) or d < 1:
+        raise DomainError(f"d must be an integer >= 1, got {d!r}")
+    return d
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Couplings (x, y), inverse temperature beta and lattice dimension d."""
@@ -33,10 +46,11 @@ class ModelParams:
     d: int
 
     def __post_init__(self):
+        for name in ("x", "y", "beta"):
+            check_finite(name, getattr(self, name))
         if self.beta < 0:
             raise DomainError(f"beta must be >= 0, got {self.beta}")
-        if not isinstance(self.d, int) or self.d < 1:
-            raise DomainError(f"d must be an integer >= 1, got {self.d!r}")
+        check_dimension(self.d)
 
 
 @dataclass(frozen=True)

@@ -6,20 +6,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
+from . import kernel
 from .errors import CapacityError, DomainError
+from .kernel import PAIR_ORDER
 from .model import ModelParams, NeighborConfig, check_spin, pair_energy
 
 _NORM_TOL = 1e-12
-
-# Unordered boundary pairs (sigma_1, sigma_1~) with sigma_1 != sigma_1~,
-# normalized so |sigma_1~| >= |sigma_1| and (-1, +1) when magnitudes tie.
-PAIR_ORDER = ((-1, 1), (0, 1), (0, -1))
 
 
 @dataclass(frozen=True)
@@ -85,54 +82,6 @@ def total_variation(p: SpinDistribution, q: SpinDistribution) -> float:
     return 0.5 * sum(abs(a - b) for a, b in zip(p.as_tuple(), q.as_tuple()))
 
 
-class _ClassTable(NamedTuple):
-    """One representative tail per (k, #plus) class and the class sizes."""
-
-    tails: np.ndarray  # int8, shape (d(2d+1), 2d-1)
-    mult: tuple[int, ...]  # exact multiplicities, summing to 3^(2d-1)
-
-
-@lru_cache(maxsize=None)
-def _classes(d: int) -> _ClassTable:
-    """The d(2d+1) classes of tails (assignments of the 2d-1 non-distinguished
-    neighbors) with k nonzero spins of which `plus` are +1.
-
-    The conditional depends on a tail only through k and its spin sum, so a
-    class representative carries the whole class.  Each class is represented by
-    its first member in balanced-ternary order (the -1s, then the 0s, then the
-    +1s), and the classes are sorted by that member, so the first maximizer over
-    (class, pair) is the first maximizer over (tail, pair) of the full
-    enumeration.  Multiplicities C(2d-1, k) C(k, plus) are exact Python ints.
-    """
-    m = 2 * d - 1
-    reps = sorted(
-        ((-1,) * (k - plus) + (0,) * (m - k) + (1,) * plus, math.comb(m, k) * math.comb(k, plus))
-        for k in range(m + 1)
-        for plus in range(k + 1)
-    )
-    tails = np.array([t for t, _ in reps], dtype=np.int8).reshape(len(reps), m)
-    return _ClassTable(tails, tuple(c for _, c in reps))
-
-
-def _tv_table(params: ModelParams, tails: np.ndarray) -> np.ndarray:
-    """TV distances, shape (len(tails), len(PAIR_ORDER)), between the origin
-    conditionals for each boundary pair over each tail completion."""
-    beta, x, y, d = params.beta, params.x, params.y, params.d
-    k = (tails != 0).sum(axis=1).astype(np.float64)
-    n = tails.sum(axis=1).astype(np.float64)
-    dists = {}
-    for s1 in (-1, 0, 1):
-        coef = 2 * d * x + y * (k + s1 * s1)
-        s = n + s1
-        exps = np.stack([beta * (coef - s), np.zeros_like(coef), beta * (coef + s)], axis=1)
-        exps -= exps.max(axis=1, keepdims=True)
-        w = np.exp(exps)
-        dists[s1] = w / w.sum(axis=1, keepdims=True)
-    return np.stack(
-        [0.5 * np.abs(dists[a] - dists[b]).sum(axis=1) for a, b in PAIR_ORDER], axis=1
-    )
-
-
 def exact_max_tv(params: ModelParams) -> DobrushinReport:
     """Maximize the conditional TV distance over all tails and boundary pairs.
 
@@ -143,13 +92,10 @@ def exact_max_tv(params: ModelParams) -> DobrushinReport:
     the first maximizer in balanced-ternary (tail, pair) order.
     """
     d = params.d
-    tails = _classes(d).tails
-    tv = _tv_table(params, tails)
-    flat = int(np.argmax(tv))
-    tail_i, pair_i = divmod(flat, tv.shape[1])
-    s1, s1_tilde = PAIR_ORDER[pair_i]
-    nb = NeighborConfig((s1, *(int(v) for v in tails[tail_i])))
-    max_tv = float(tv.flat[flat])
+    top, tail_i, pair_i = kernel.max_tv(d, params.x, params.y, np.array([params.beta]))
+    s1, s1_tilde = PAIR_ORDER[int(pair_i[0])]
+    nb = NeighborConfig((s1, *(int(v) for v in kernel.classes(d).tails[int(tail_i[0])])))
+    max_tv = float(top[0])
     return DobrushinReport(
         max_tv=max_tv,
         argmax_pair=(nb, s1_tilde),

@@ -5,20 +5,17 @@ where the uniqueness condition fails."""
 from __future__ import annotations
 
 import json
-import math
-import os
 import random
-import subprocess
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from . import bounds
+from . import bounds, kernel
 from .errors import DomainError
-from .model import ModelParams, SubRegion, classify_region
-from .specification import PAIR_ORDER, _classes, _tv_table, exact_max_tv
+from .kernel import PAIR_ORDER
+from .model import ModelParams, SubRegion, check_dimension, check_finite, classify_region
+from .specification import exact_max_tv
 
 SLACK_TOL = 1e-12
 MAX_WITNESSES = 100
@@ -50,6 +47,12 @@ class SweepSpec:
         grid = tuple(float(b) for b in self.beta_grid)
         object.__setattr__(self, "beta_grid", grid)
         object.__setattr__(self, "checks", frozenset(self.checks))
+        check_dimension(self.d)
+        for x, y in self.points:
+            check_finite("point coordinate", x)
+            check_finite("point coordinate", y)
+        for b in grid:
+            check_finite("beta grid value", b)
         if any(b < 0 for b in grid):
             raise DomainError("beta grid values must be >= 0")
         if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
@@ -105,26 +108,11 @@ class CheckResult:
         self.unclassifiable.extend(other.unclassifiable)
 
 
-def _git_rev() -> str | None:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True,
-            text=True,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        )
-    except OSError:
-        return None
-    if out.returncode != 0:
-        return None
-    return out.stdout.strip()
-
-
 @dataclass
 class SweepReport:
     spec: SweepSpec
     checks: list[CheckResult]
-    git_rev: str | None
+    git_rev: str | None = None  # set by callers that know the source revision
 
     @property
     def all_passed(self) -> bool:
@@ -152,34 +140,11 @@ class SweepReport:
         }
 
     def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-
-def _lemma1_table(params: ModelParams, tails: np.ndarray) -> np.ndarray:
-    """|theta_+1| + |theta_-1| + |psi| per tail and normalized pair, shape
-    (len(tails), len(PAIR_ORDER)); vectorized mirror of bounds.lemma1_bound."""
-    beta, x, y, d = params.beta, params.x, params.y, params.d
-    k = (tails != 0).sum(axis=1).astype(np.float64)
-    n = tails.sum(axis=1).astype(np.float64)
-    out = np.empty((len(tails), len(PAIR_ORDER)))
-    for j, (s1, st) in enumerate(PAIR_ORDER):
-        sig2 = k + s1 * s1
-        e_prefix = beta * (2 * d * x + y * sig2)
-        e_psi = beta * (4 * d * x + 2 * y * sig2) + beta * y * (st * st - s1 * s1)
-        g = beta * (st - s1)
-        total = np.exp(e_psi + abs(g)) * -math.expm1(-2 * abs(g))
-        for s in (-1, 1):
-            e_inner = beta * y * (st * st - s1 * s1) + beta * s * (st - s1)
-            e_suffix = beta * s * (s1 + n)
-            # |exp(e_inner) - 1| = exp(max(e_inner, 0)) * (1 - exp(-|e_inner|))
-            total = total + np.exp(e_prefix + e_suffix + max(e_inner, 0.0)) * -math.expm1(
-                -abs(e_inner)
-            )
-        out[:, j] = total
-    return out
+        return json.dumps(self.to_dict(), sort_keys=True, indent=indent, allow_nan=False)
 
 
 def _sweep_point(spec: SweepSpec, point: tuple[float, float]) -> dict[Check, CheckResult]:
+    """Every requested check at one point, over the whole beta grid at once."""
     d = spec.d
     x, y = point
     results = {c: CheckResult(name=c.value) for c in spec.checks}
@@ -188,91 +153,87 @@ def _sweep_point(spec: SweepSpec, point: tuple[float, float]) -> dict[Check, Che
     if requested_bound_checks and not in_strip:
         for c in requested_bound_checks:
             results[c].unclassifiable.append(point)
-    tails, mult = _classes(d)
-    threshold = 1.0 / (2 * d)
+    if not spec.beta_grid:
+        return results
+    tails, mult = kernel.classes(d)
+    betas = np.array(spec.beta_grid)
+    tv = kernel.tv_table(d, x, y, betas)
 
     def tail_of(i: int) -> tuple[int, ...]:
         return tuple(int(v) for v in tails[i])
 
-    for beta in spec.beta_grid:
-        params = ModelParams(x=x, y=y, beta=beta, d=d)
-        tv = _tv_table(params, tails)
-        l1 = None
-        if (spec.checks & BOUND_CHECKS) and in_strip:
-            l1 = _lemma1_table(params, tails)
-            l2 = bounds.lemma2_bound(params)
-            l3 = bounds.lemma3_bound(params)
-            th1 = bounds.theorem1_bound(params)
+    def record_table(check: Check, slack: np.ndarray, cols) -> None:
+        """Record a (beta, class, pair) slack table; witnesses go beta-major,
+        then class, then pair."""
+        res = results[check]
+        res.worst_slack = float(slack.min())
+        if res.worst_slack < -SLACK_TOL:
+            bad = np.argwhere(slack < -SLACK_TOL)
+            # each failing class cell stands for every tail of its class
+            res.fail_count = sum(mult[ti] for ti in bad[:, 1].tolist())
+            res.witnesses = [
+                Witness(
+                    point,
+                    spec.beta_grid[bi],
+                    tail_of(ti),
+                    PAIR_ORDER[cols[ci]],
+                    float(slack[bi, ti, ci]),
+                )
+                for bi, ti, ci in bad[:MAX_WITNESSES].tolist()
+            ]
+
+    if requested_bound_checks and in_strip:
+        l1 = kernel.lemma1_table(d, x, y, betas)
+        scalars = []
+        for beta in spec.beta_grid:
+            params = ModelParams(x=x, y=y, beta=beta, d=d)
             ep = bounds.exponents(params)
-            rab = bounds.r_of_t(ep.a / ep.b)
-
-        def record_table(check: Check, slack: np.ndarray, cols) -> None:
-            res = results[check]
-            worst = float(slack.min())
-            if res.worst_slack is None or worst < res.worst_slack:
-                res.worst_slack = worst
-            if worst < -SLACK_TOL:
-                bad = np.argwhere(slack < -SLACK_TOL)
-                # each failing class cell stands for every tail of its class
-                res.fail_count += sum(mult[int(ti)] for ti, _ in bad)
-                for ti, ci in bad:
-                    if len(res.witnesses) >= MAX_WITNESSES:
-                        break
-                    res.witnesses.append(
-                        Witness(
-                            point,
-                            beta,
-                            tail_of(int(ti)),
-                            PAIR_ORDER[cols[int(ci)]],
-                            float(slack[int(ti), int(ci)]),
-                        )
-                    )
-
-        if Check.TV_VS_LEMMA1 in spec.checks and in_strip:
-            record_table(Check.TV_VS_LEMMA1, l1 - tv, (0, 1, 2))
-        if Check.LEMMA1_VS_LEMMA2 in spec.checks and in_strip:
-            # the single equal-magnitude pair is PAIR_ORDER[0] = (-1, +1)
-            record_table(Check.LEMMA1_VS_LEMMA2, l2 - l1[:, :1], (0,))
-        if Check.LEMMA1_VS_LEMMA3 in spec.checks and in_strip:
-            record_table(Check.LEMMA1_VS_LEMMA3, l3 - l1[:, 1:], (1, 2))
-        if Check.ALL_VS_THEOREM1 in spec.checks and in_strip:
-            res = results[Check.ALL_VS_THEOREM1]
-            for slack in (th1 - l2, th1 - l3, rab - th1):
-                res.record(slack, Witness(point, beta, None, None, slack))
-        if Check.DOBRUSHIN_SATISFIED in spec.checks:
-            flat = int(np.argmax(tv))
-            ti, ci = divmod(flat, tv.shape[1])
-            slack = threshold - float(tv.flat[flat])
-            results[Check.DOBRUSHIN_SATISFIED].record(
-                slack, Witness(point, beta, tail_of(ti), PAIR_ORDER[ci], slack)
+            scalars.append(
+                (
+                    bounds.lemma2_bound(params),
+                    bounds.lemma3_bound(params),
+                    bounds.theorem1_bound(params),
+                    bounds.r_of_t(ep.a / ep.b),
+                )
             )
+        # per-beta case bounds, broadcast over (class, pair)
+        l2 = np.array([row[0] for row in scalars])[:, None, None]
+        l3 = np.array([row[1] for row in scalars])[:, None, None]
+        if Check.TV_VS_LEMMA1 in spec.checks:
+            record_table(Check.TV_VS_LEMMA1, l1 - tv, (0, 1, 2))
+        if Check.LEMMA1_VS_LEMMA2 in spec.checks:
+            # the single equal-magnitude pair is PAIR_ORDER[0] = (-1, +1)
+            record_table(Check.LEMMA1_VS_LEMMA2, l2 - l1[:, :, :1], (0,))
+        if Check.LEMMA1_VS_LEMMA3 in spec.checks:
+            record_table(Check.LEMMA1_VS_LEMMA3, l3 - l1[:, :, 1:], (1, 2))
+        if Check.ALL_VS_THEOREM1 in spec.checks:
+            res = results[Check.ALL_VS_THEOREM1]
+            for beta, (b2, b3, b1, r) in zip(spec.beta_grid, scalars):
+                for slack in (b1 - b2, b1 - b3, r - b1):
+                    res.record(slack, Witness(point, beta, None, None, slack))
+    if Check.DOBRUSHIN_SATISFIED in spec.checks:
+        res = results[Check.DOBRUSHIN_SATISFIED]
+        threshold = 1.0 / (2 * d)
+        top, tail_i, pair_i = kernel.first_max(tv)
+        for beta, t, ti, ci in zip(spec.beta_grid, top.tolist(), tail_i.tolist(), pair_i.tolist()):
+            slack = threshold - t
+            res.record(slack, Witness(point, beta, tail_of(ti), PAIR_ORDER[ci], slack))
     return results
 
 
-def _sweep_point_task(args):
-    return _sweep_point(*args)
-
-
-def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepReport:
+def run_sweep(spec: SweepSpec) -> SweepReport:
     """Run every requested check at every (point, beta) grid cell.
 
-    Enumerates every tail class and boundary pair per cell.  `workers` > 1 splits
-    points across processes; results merge in point order, so the report is
-    identical for any worker count.
+    Enumerates every tail class and boundary pair per cell; results merge in
+    point order.  The report's git_rev is None: this function cannot know
+    which source revision it runs, so a caller that does may set it.
     """
-    if workers is None:
-        workers = os.cpu_count() or 1
     merged = {c: CheckResult(name=c.value) for c in spec.checks}
-    if workers > 1 and len(spec.points) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_point = list(pool.map(_sweep_point_task, [(spec, p) for p in spec.points]))
-    else:
-        per_point = [_sweep_point(spec, p) for p in spec.points]
-    for results in per_point:
-        for c, res in results.items():
+    for point in spec.points:
+        for c, res in _sweep_point(spec, point).items():
             merged[c].merge(res)
     ordered = [merged[c] for c in sorted(spec.checks, key=lambda c: c.value)]
-    return SweepReport(spec=spec, checks=ordered, git_rev=_git_rev())
+    return SweepReport(spec=spec, checks=ordered)
 
 
 def find_failure_beta(
@@ -284,28 +245,35 @@ def find_failure_beta(
     n_grid: int = 120,
 ) -> float | None:
     """Smallest temperature (refined to 1e-6 in beta) where the exact
-    single-site condition fails, or None if it holds on the whole scan range."""
+    single-site condition fails, or None if it holds on the whole scan range.
+
+    The condition is evaluated on a geometric grid of n_grid betas at once;
+    the first failing grid beta is then refined by bisection from the grid
+    beta before it.
+    """
+    # the grid lies between its endpoints, so checking them checks it all
+    ModelParams(x=x, y=y, beta=beta_min, d=d)
+    ModelParams(x=x, y=y, beta=beta_max, d=d)
+    threshold = 1.0 / (2 * d)
 
     def fails(beta: float) -> bool:
-        report = exact_max_tv(ModelParams(x=x, y=y, beta=beta, d=d))
-        return report.max_tv >= 1.0 / (2 * d)
+        return exact_max_tv(ModelParams(x=x, y=y, beta=beta, d=d)).max_tv >= threshold
 
-    prev = None
-    for beta in np.geomspace(beta_min, beta_max, n_grid):
-        beta = float(beta)
-        if fails(beta):
-            if prev is None:
-                return beta
-            lo, hi = prev, beta
-            while hi - lo > 1e-6:
-                mid = 0.5 * (lo + hi)
-                if fails(mid):
-                    hi = mid
-                else:
-                    lo = mid
-            return hi
-        prev = beta
-    return None
+    grid = np.geomspace(beta_min, beta_max, n_grid)
+    failing = np.flatnonzero(kernel.max_tv(d, x, y, grid)[0] >= threshold)
+    if not len(failing):
+        return None
+    i = int(failing[0])
+    if i == 0:
+        return float(grid[0])
+    lo, hi = float(grid[i - 1]), float(grid[i])
+    while hi - lo > 1e-6:
+        mid = 0.5 * (lo + hi)
+        if fails(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def sample_strip_points(points_per_region: int, seed: int = 2026) -> tuple[tuple[float, float], ...]:

@@ -1,10 +1,18 @@
+import math
 import random
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from beg_dobrushin import NeighborConfig, conditional_distribution, total_variation
+from beg_dobrushin import (
+    ModelParams,
+    NeighborConfig,
+    conditional_distribution,
+    exact_max_tv,
+    total_variation,
+)
+from beg_dobrushin.kernel import PAIR_ORDER
 from beg_dobrushin.model import MajorRegion
 
 
@@ -65,6 +73,73 @@ def class_loop_max_tv(params) -> float:
                 )
                 best = max(best, tv)
     return best
+
+
+def cell_tv_table(params, tails: np.ndarray) -> np.ndarray:
+    """Per-cell reference for kernel.tv_table: TV distances at one beta, shape
+    (len(tails), len(PAIR_ORDER)), for any set of tails."""
+    beta, x, y, d = params.beta, params.x, params.y, params.d
+    k = (tails != 0).sum(axis=1).astype(np.float64)
+    n = tails.sum(axis=1).astype(np.float64)
+    dists = {}
+    for s1 in (-1, 0, 1):
+        coef = 2 * d * x + y * (k + s1 * s1)
+        s = n + s1
+        exps = np.stack([beta * (coef - s), np.zeros_like(coef), beta * (coef + s)], axis=1)
+        exps -= exps.max(axis=1, keepdims=True)
+        w = np.exp(exps)
+        dists[s1] = w / w.sum(axis=1, keepdims=True)
+    return np.stack(
+        [0.5 * np.abs(dists[a] - dists[b]).sum(axis=1) for a, b in PAIR_ORDER], axis=1
+    )
+
+
+def cell_lemma1_table(params, tails: np.ndarray) -> np.ndarray:
+    """Per-cell reference for kernel.lemma1_table at one beta, shape
+    (len(tails), len(PAIR_ORDER))."""
+    beta, x, y, d = params.beta, params.x, params.y, params.d
+    k = (tails != 0).sum(axis=1).astype(np.float64)
+    n = tails.sum(axis=1).astype(np.float64)
+    out = np.empty((len(tails), len(PAIR_ORDER)))
+    for j, (s1, st) in enumerate(PAIR_ORDER):
+        sig2 = k + s1 * s1
+        e_prefix = beta * (2 * d * x + y * sig2)
+        e_psi = beta * (4 * d * x + 2 * y * sig2) + beta * y * (st * st - s1 * s1)
+        g = beta * (st - s1)
+        total = np.exp(e_psi + abs(g)) * -math.expm1(-2 * abs(g))
+        for s in (-1, 1):
+            e_inner = beta * y * (st * st - s1 * s1) + beta * s * (st - s1)
+            e_suffix = beta * s * (s1 + n)
+            total = total + np.exp(e_prefix + e_suffix + max(e_inner, 0.0)) * -math.expm1(
+                -abs(e_inner)
+            )
+        out[:, j] = total
+    return out
+
+
+def sequential_failure_beta(d, x, y, beta_min=1e-3, beta_max=100.0, n_grid=120):
+    """Reference for find_failure_beta: one exact_max_tv probe per grid beta
+    in increasing order, then the same bisection."""
+
+    def fails(beta):
+        return exact_max_tv(ModelParams(x=x, y=y, beta=beta, d=d)).max_tv >= 1.0 / (2 * d)
+
+    prev = None
+    for beta in np.geomspace(beta_min, beta_max, n_grid):
+        beta = float(beta)
+        if fails(beta):
+            if prev is None:
+                return beta
+            lo, hi = prev, beta
+            while hi - lo > 1e-6:
+                mid = 0.5 * (lo + hi)
+                if fails(mid):
+                    hi = mid
+                else:
+                    lo = mid
+            return hi
+        prev = beta
+    return None
 
 
 @pytest.fixture

@@ -91,7 +91,7 @@ def test_criterion_5_bound_domination_certification():
     worst = {}
     all_ok = True
     for d in (1, 2, 3):
-        result = run_sweep(default_certification_spec(d), workers=1)
+        result = run_sweep(default_certification_spec(d))
         all_ok = all_ok and result.all_passed
         for check in result.checks:
             slack = check.worst_slack

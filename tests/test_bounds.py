@@ -77,9 +77,10 @@ class TestROfT:
 
     @given(st.floats(0.01, 100), st.floats(0.01, 100))
     def test_strictly_decreasing(self, t1, t2):
-        if t1 == t2:
-            return
         lo, hi = sorted((t1, t2))
+        # at nearly equal arguments rounding can tie or reverse the order
+        if hi <= lo * (1 + 1e-9):
+            return
         assert r_of_t(lo) > r_of_t(hi)
 
 

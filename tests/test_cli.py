@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -140,7 +141,7 @@ class TestVerifyCommand:
         code, _, err = run_cli(
             capsys,
             "verify", "--points-per-region", "2", "--beta-steps", "5",
-            "--workers", "1", "-o", str(report_path),
+            "-o", str(report_path),
         )
         assert code == 0
         report = json.loads(report_path.read_text())
@@ -162,7 +163,7 @@ class TestVerifyCommand:
         )
         report_path = tmp_path / "report.json"
         code, _, err = run_cli(
-            capsys, "verify", "--spec", str(spec_path), "--workers", "1", "-o", str(report_path)
+            capsys, "verify", "--spec", str(spec_path), "-o", str(report_path)
         )
         assert code == 1
         assert "FAIL" in err
@@ -172,7 +173,7 @@ class TestVerifyCommand:
     def test_empty_points_vacuous_pass(self, capsys, tmp_path):
         spec_path = tmp_path / "sweep.spec"
         spec_path.write_text("d = 2\npoints = \nbeta_steps = 3\n")
-        code, out, _ = run_cli(capsys, "verify", "--spec", str(spec_path), "--workers", "1")
+        code, out, _ = run_cli(capsys, "verify", "--spec", str(spec_path))
         assert code == 0
         report = json.loads(out)
         assert all(check["pass"] for check in report["checks"])
@@ -184,11 +185,64 @@ class TestVerifyCommand:
         assert code == 2
 
     def test_unknown_check_name_is_usage_error(self, capsys):
-        code, _, _ = run_cli(
+        code, _, err = run_cli(
             capsys, "verify", "--points-per-region", "1", "--beta-steps", "3",
-            "--checks", "NotACheck",
+            "--checks", "TVvsLemma1,Bogus",
         )
         assert code == 2
+        assert "'Bogus'" in err
+        for name in ("TVvsLemma1", "Lemma1vsLemma2", "Lemma1vsLemma3", "AllvsTheorem1",
+                     "DobrushinSatisfied"):
+            assert name in err
+
+    def test_unknown_spec_key_names_its_line(self, capsys, tmp_path):
+        spec_path = tmp_path / "sweep.spec"
+        spec_path.write_text("d = 2\nbeta_stepz = 3\n")
+        code, out, err = run_cli(capsys, "verify", "--spec", str(spec_path))
+        assert code == 2
+        assert out == ""
+        assert f"{spec_path}:2" in err
+        assert "'beta_stepz'" in err
+
+    def test_non_finite_spec_value_is_usage_error(self, capsys, tmp_path):
+        spec_path = tmp_path / "sweep.spec"
+        spec_path.write_text("d = 2\npoints = nan,0\nbeta_steps = 3\n")
+        code, out, _ = run_cli(capsys, "verify", "--spec", str(spec_path))
+        assert code == 2
+        assert out == ""
+
+    # sha256 of the `checks` block of `begdob verify -d D --seed 2026`
+    CHECKS_SHA256 = {
+        1: "4d512c2107a447265768575e4f4af1b3fcbd3ad24bc7112504be93eb86578286",
+        2: "09fb1d9b805dc652e02115561bf42d9213735b52aa8492463ef456344fd58da8",
+        3: "d623ecd3d99cd3ebbdf88128d7c5f2237848e9a423735995dc73556c3981de48",
+    }
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_default_report_checks_are_pinned(self, capsys, d):
+        code, out, _ = run_cli(capsys, "verify", "-d", str(d), "--seed", "2026")
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        digest = hashlib.sha256(json.dumps(checks, sort_keys=True, indent=2).encode()).hexdigest()
+        assert digest == self.CHECKS_SHA256[d]
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("region", "-d", "2", "-x", "nan", "-y", "0"),
+            ("region", "-d", "2", "-x", "-6", "-y", "inf"),
+            ("bounds", "-d", "2", "-x", "-5", "-y", "2", "--beta", "nan"),
+            ("scan", "-d", "2", "-x", "0", "-y", "-2", "--beta-max", "inf"),
+            ("verify", "--beta-max", "nan"),
+        ],
+    )
+    def test_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
 
 
 class TestUsage:

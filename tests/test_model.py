@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -100,6 +102,14 @@ class TestModelParams:
             ModelParams(x=0, y=0, beta=-1, d=2)
         with pytest.raises(DomainError):
             ModelParams(x=0, y=0, beta=1, d=0)
+
+    @pytest.mark.parametrize("field", ["x", "y", "beta"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, bad):
+        values = dict(x=-3.0, y=0.5, beta=1.0, d=2)
+        values[field] = bad
+        with pytest.raises(DomainError, match=field):
+            ModelParams(**values)
 
 
 class TestNeighborConfig:

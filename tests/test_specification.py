@@ -19,8 +19,8 @@ from beg_dobrushin import (
     pair_energy,
     total_variation,
 )
-from beg_dobrushin.specification import PAIR_ORDER, _classes, _tv_table
-from conftest import class_loop_max_tv, full_tails
+from beg_dobrushin.kernel import PAIR_ORDER, classes
+from conftest import cell_tv_table, class_loop_max_tv, full_tails
 
 spins = st.sampled_from((-1, 0, 1))
 
@@ -193,7 +193,7 @@ class TestExactMaxTv:
 def full_enumeration_report(params):
     """Tail-major first maximizer over all 3^(2d-1) tails and the pairs."""
     tails = full_tails(params.d)
-    tv = _tv_table(params, tails)
+    tv = cell_tv_table(params, tails)
     tail_i, pair_i = divmod(int(np.argmax(tv)), tv.shape[1])
     s1, s1_tilde = PAIR_ORDER[pair_i]
     nb = NeighborConfig((s1, *(int(v) for v in tails[tail_i])))
@@ -217,7 +217,7 @@ class TestClassReduction:
 
     @pytest.mark.parametrize("d", [1, 8, 21, 50])
     def test_multiplicities_are_exact(self, d):
-        table = _classes(d)
+        table = classes(d)
         assert len(table.mult) == len(table.tails) == d * (2 * d + 1)
         assert all(type(c) is int for c in table.mult)
         assert sum(table.mult) == 3 ** (2 * d - 1)

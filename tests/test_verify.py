@@ -1,4 +1,6 @@
 import json
+import math
+import random
 
 import numpy as np
 import pytest
@@ -16,10 +18,17 @@ from beg_dobrushin import (
     run_sweep,
     total_variation,
 )
-from beg_dobrushin import verify
-from beg_dobrushin.specification import _tv_table
-from beg_dobrushin.verify import ALL_CHECKS, BOUND_CHECKS, SLACK_TOL, log_beta_grid
-from conftest import full_tails
+from beg_dobrushin import kernel
+from beg_dobrushin.kernel import PAIR_ORDER
+from beg_dobrushin.verify import (
+    ALL_CHECKS,
+    BOUND_CHECKS,
+    MAX_WITNESSES,
+    SLACK_TOL,
+    Witness,
+    log_beta_grid,
+)
+from conftest import cell_tv_table, full_tails, sequential_failure_beta
 
 
 def small_spec(**overrides):
@@ -42,24 +51,42 @@ class TestSweepSpec:
         with pytest.raises(DomainError):
             small_spec(beta_grid=(1.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(DomainError):
+            small_spec(beta_grid=(0.1, bad))
+        with pytest.raises(DomainError):
+            small_spec(points=((-5.0, 2.0), (bad, 0.0)))
+        with pytest.raises(DomainError):
+            small_spec(points=((-5.0, bad),))
+
+    def test_dimension_validated(self):
+        with pytest.raises(DomainError):
+            small_spec(d=0)
+
 
 class TestRunSweep:
     def test_zero_temperature_grid_vacuous(self):
-        report = run_sweep(small_spec(beta_grid=(0.0,)), workers=1)
+        report = run_sweep(small_spec(beta_grid=(0.0,)))
         assert report.all_passed
         for check in report.checks:
             assert check.worst_slack >= 0
             assert not check.witnesses
 
+    def test_empty_grid_vacuous(self):
+        report = run_sweep(small_spec(beta_grid=(), checks=ALL_CHECKS))
+        assert report.all_passed
+        assert all(check.worst_slack is None for check in report.checks)
+
     def test_small_certification_passes(self):
-        report = run_sweep(small_spec(), workers=1)
+        report = run_sweep(small_spec())
         assert report.all_passed
         for check in report.checks:
             assert check.worst_slack >= -1e-12
 
     def test_unclassifiable_point_reported(self):
         spec = small_spec(points=((0.0, -2.0),), checks=frozenset({Check.ALL_VS_THEOREM1}))
-        report = run_sweep(spec, workers=1)
+        report = run_sweep(spec)
         check = report.checks[0]
         assert check.passed
         assert check.worst_slack is None
@@ -71,7 +98,7 @@ class TestRunSweep:
             beta_grid=log_beta_grid(1e-3, 50, 20),
             checks=frozenset({Check.DOBRUSHIN_SATISFIED}),
         )
-        report = run_sweep(spec, workers=1)
+        report = run_sweep(spec)
         assert not report.all_passed
         check = report.checks[0]
         assert check.worst_slack < -1e-12
@@ -83,7 +110,7 @@ class TestRunSweep:
             beta_grid=(2.0, 20.0),
             checks=frozenset({Check.DOBRUSHIN_SATISFIED}),
         )
-        report = run_sweep(spec, workers=1)
+        report = run_sweep(spec)
         for witness in report.checks[0].witnesses:
             params = ModelParams(x=witness.point[0], y=witness.point[1], beta=witness.beta, d=2)
             nb = NeighborConfig((witness.pair[0], *witness.tail))
@@ -102,43 +129,48 @@ class TestRunSweep:
             beta_grid=log_beta_grid(1e-3, 50, 15),
             checks=frozenset({Check.DOBRUSHIN_SATISFIED}),
         )
-        report = run_sweep(spec, workers=1)
+        report = run_sweep(spec)
         assert report.all_passed
 
     def test_deterministic_serialization(self):
         spec = small_spec(checks=ALL_CHECKS)
-        first = run_sweep(spec, workers=1).to_json()
-        second = run_sweep(spec, workers=1).to_json()
+        first = run_sweep(spec).to_json()
+        second = run_sweep(spec).to_json()
         assert first == second
         parsed = json.loads(first)
         assert set(parsed) == {"meta", "checks"}
         assert set(parsed["meta"]) == {"d", "grid", "points", "git_rev"}
 
-    def test_worker_count_does_not_change_report(self):
-        spec = small_spec()
-        serial = run_sweep(spec, workers=1).to_json()
-        parallel = run_sweep(spec, workers=2).to_json()
-        assert serial == parallel
-
     def test_large_dimension_runs(self):
         spec = small_spec(d=8, points=((-5.0, 2.0),), checks=ALL_CHECKS)
-        report = run_sweep(spec, workers=1)
+        report = run_sweep(spec)
         assert len(report.checks) == len(ALL_CHECKS)
         assert all(check.worst_slack is not None for check in report.checks)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_fail_count_weighted_by_multiplicity(self, d, monkeypatch):
-        monkeypatch.setattr(verify, "_lemma1_table", lambda params, tails: np.zeros((len(tails), 3)))
+        monkeypatch.setattr(
+            kernel,
+            "lemma1_table",
+            lambda d, x, y, betas: np.zeros((len(betas), len(kernel.classes(d).tails), 3)),
+        )
         spec = small_spec(d=d, checks=frozenset({Check.TV_VS_LEMMA1}))
-        check = run_sweep(spec, workers=1).checks[0]
+        check = run_sweep(spec).checks[0]
         want = 0
+        witnesses = []
+        tails = kernel.classes(d).tails
         for x, y in spec.points:
             for beta in spec.beta_grid:
-                tv = _tv_table(ModelParams(x=x, y=y, beta=beta, d=d), full_tails(d))
-                want += int((tv > SLACK_TOL).sum())
+                params = ModelParams(x=x, y=y, beta=beta, d=d)
+                want += int((cell_tv_table(params, full_tails(d)) > SLACK_TOL).sum())
+                slack = -cell_tv_table(params, tails)
+                for ti, ci in np.argwhere(slack < -SLACK_TOL).tolist():
+                    tail = tuple(int(v) for v in tails[ti])
+                    witnesses.append(Witness((x, y), beta, tail, PAIR_ORDER[ci], slack[ti, ci]))
         assert want > 0
         assert check.fail_count == want
-        assert check.witnesses
+        # beta-major, then class, then pair, as one cell at a time would record them
+        assert check.witnesses == witnesses[:MAX_WITNESSES]
         for witness in check.witnesses:
             # the first member of a (k, #plus) class lists -1s, then 0s, then +1s
             assert witness.tail == tuple(sorted(witness.tail))
@@ -163,6 +195,23 @@ class TestFindFailureBeta:
         assert beta is not None
         # frozen regression value from the scan + bisection refinement
         assert beta == pytest.approx(0.5359094412565923, abs=1e-4)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_sequential_grid(self, d):
+        rng = random.Random(300 + d)
+        points = [(0.0, -2.0)] + [(rng.uniform(-4.0, 0.8), rng.uniform(-3.0, 3.0)) for _ in range(8)]
+        found = 0
+        for x, y in points:
+            beta = find_failure_beta(d, x, y)
+            assert beta == sequential_failure_beta(d, x, y), (x, y)
+            found += beta is not None
+        assert 0 < found < len(points)
+
+    def test_rejects_non_finite_input(self):
+        with pytest.raises(DomainError):
+            find_failure_beta(2, math.nan, -2.0)
+        with pytest.raises(DomainError):
+            find_failure_beta(2, 0.0, -2.0, beta_max=math.inf)
 
     def test_inside_region_never_fails(self):
         assert find_failure_beta(2, -6.0, 0.0) is None
