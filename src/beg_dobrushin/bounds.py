@@ -46,14 +46,14 @@ def _decay(c: float, e: float, g: float) -> float:
 
 def exponents(params: ModelParams) -> ExponentPair:
     """Exponents a = 2d|x+y+1| (A|B) or 2d|x| (C), b = y+1 / 2 / |y|+1 on A/B/C."""
-    sub = require_sub_region(params.x, params.y)
+    return band_exponents(require_sub_region(params.x, params.y), params.d, params.x, params.y)
+
+
+def band_exponents(sub: SubRegion, d: int, x: float, y: float) -> ExponentPair:
+    """exponents() for a point already classified into band `sub` of A|B|C."""
     if sub is SubRegion.C:
-        a = 2 * params.d * abs(params.x)
-        b = abs(params.y) + 1
-    else:
-        a = 2 * params.d * abs(params.x + params.y + 1)
-        b = params.y + 1 if sub is SubRegion.A else 2.0
-    return ExponentPair(a, b)
+        return ExponentPair(2 * d * abs(x), abs(y) + 1)
+    return ExponentPair(2 * d * abs(x + y + 1), y + 1 if sub is SubRegion.A else 2.0)
 
 
 def theorem1_bound(params: ModelParams) -> float:

@@ -29,14 +29,17 @@ def _round9(value: float) -> float:
     return float(_fmt(value))
 
 
+def _json_text(payload) -> str:
+    """Strict JSON; DomainError when a result overflowed to inf or nan."""
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(f"{exc}; an input is too large in magnitude") from None
+
+
 def _emit_record(record: dict, fmt: str, out) -> None:
     if fmt == "json":
-        json.dump(
-            {k: _round9(v) if isinstance(v, float) else v for k, v in record.items()},
-            out,
-            indent=2,
-            allow_nan=False,
-        )
+        out.write(_json_text({k: _round9(v) if isinstance(v, float) else v for k, v in record.items()}))
         out.write("\n")
     else:
         out.write(",".join(record.keys()) + "\n")
@@ -49,7 +52,7 @@ def _emit_rows(header: list[str], rows: list[tuple], fmt: str, out) -> None:
             {k: _round9(v) if isinstance(v, float) else v for k, v in zip(header, row)}
             for row in rows
         ]
-        json.dump(payload, out, indent=2, allow_nan=False)
+        out.write(_json_text(payload))
         out.write("\n")
     else:
         out.write(",".join(header) + "\n")
@@ -127,7 +130,7 @@ def cmd_scan(args) -> int:
     if args.steps < 2:
         raise DomainError("steps must be >= 2")
     if args.log:
-        betas = np.geomspace(args.beta_min, args.beta_max, args.steps)
+        betas = _log_grid(args.beta_min, args.beta_max, args.steps, ("--beta-min", "--beta-max"))
     else:
         betas = np.linspace(args.beta_min, args.beta_max, args.steps)
     # the grid lies between its endpoints, so checking them checks it all
@@ -148,31 +151,56 @@ def cmd_scan(args) -> int:
 def parse_spec_file(path: str) -> dict:
     """Flat key = value spec document with keys from SPEC_KEYS; '#' starts a
     comment."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not a text file ({exc.reason})") from None
     values: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in SPEC_KEYS:
-                raise DomainError(
-                    f"{path}:{lineno}: unknown key {key!r}; valid keys: {', '.join(SPEC_KEYS)}"
-                )
-            values[key] = value
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DomainError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in SPEC_KEYS:
+            raise DomainError(
+                f"{path}:{lineno}: unknown key {key!r}; valid keys: {', '.join(SPEC_KEYS)}"
+            )
+        values[key] = value
     return values
+
+
+def _cast(cast, text: str, name: str):
+    """cast(text), with a DomainError naming the key or option on failure."""
+    try:
+        return cast(text)
+    except ValueError:
+        kind = "an integer" if cast is int else "a number"
+        raise DomainError(f"{name}: expected {kind}, got {text!r}") from None
+
+
+def _log_grid(beta_min: float, beta_max: float, steps: int, names: tuple[str, str]) -> np.ndarray:
+    """Geometric beta grid; names are the option or key names of its two
+    endpoints, for the error raised when one is not positive."""
+    for name, value in zip(names, (beta_min, beta_max)):
+        if value <= 0:
+            raise DomainError(f"{name} must be > 0 for a logarithmic beta grid, got {value!r}")
+    return np.geomspace(beta_min, beta_max, steps)
 
 
 def _spec_from_args(args) -> verify.SweepSpec:
     file_values = parse_spec_file(args.spec) if args.spec else {}
+    source = {}  # key -> the option or spec key its value came from, for errors
 
     def pick(flag_value, key, cast, default):
         if flag_value is not None:
+            source[key] = "-d" if key == "d" else "--" + key.replace("_", "-")
             return flag_value
+        source[key] = key
         if key in file_values:
-            return cast(file_values[key])
+            return _cast(cast, file_values[key], key)
         return default
 
     d = pick(args.d, "d", int, 2)
@@ -181,6 +209,10 @@ def _spec_from_args(args) -> verify.SweepSpec:
     beta_steps = pick(args.beta_steps, "beta_steps", int, 40)
     seed = pick(args.seed, "seed", int, 2026)
     points_per_region = pick(args.points_per_region, "points_per_region", int, 20)
+    # an empty grid would certify nothing and still report every check passed
+    for key, value in (("beta_steps", beta_steps), ("points_per_region", points_per_region)):
+        if value < 1:
+            raise DomainError(f"{source[key]} must be >= 1, got {value}")
 
     if "points" in file_values:
         points = []
@@ -188,8 +220,10 @@ def _spec_from_args(args) -> verify.SweepSpec:
             chunk = chunk.strip()
             if not chunk:
                 continue
-            x_str, y_str = chunk.split(",")
-            points.append((float(x_str), float(y_str)))
+            coords = chunk.split(",")
+            if len(coords) != 2:
+                raise DomainError(f"points: expected 'x,y' pairs separated by ';', got {chunk!r}")
+            points.append(tuple(_cast(float, c, "points") for c in coords))
         points = tuple(points)
     else:
         points = verify.sample_strip_points(points_per_region, seed=seed)
@@ -210,7 +244,8 @@ def _spec_from_args(args) -> verify.SweepSpec:
                 raise DomainError(f"unknown check {name!r}; valid checks: {', '.join(by_value)}")
             checks.add(by_value[name])
 
-    beta_grid = tuple(float(b) for b in np.geomspace(beta_min, beta_max, beta_steps))
+    grid = _log_grid(beta_min, beta_max, beta_steps, (source["beta_min"], source["beta_max"]))
+    beta_grid = tuple(float(b) for b in grid)
     return verify.SweepSpec(d=d, points=points, beta_grid=beta_grid, checks=checks)
 
 
@@ -323,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (DomainError, CapacityError, OSError, KeyError, ValueError) as exc:
+    except (DomainError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

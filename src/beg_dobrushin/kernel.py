@@ -1,6 +1,7 @@
 """Vectorized single-site kernel: the (k, #plus) classes of neighbor tails and,
 for every inverse temperature of a grid at once, the exact TV distances and
-the Lemma 1 bounds over (beta, class, boundary pair).
+the Lemma 1 bounds over (beta, class, boundary pair), and the per-beta case
+bounds of a strip point.
 
 Tables have shape (len(betas), len(classes(d).tails), len(PAIR_ORDER)).  Each
 beta slice is computed with the same floating-point operations, in the same
@@ -15,13 +16,17 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import bounds
+from .model import SubRegion
+
 # Unordered boundary pairs (sigma_1, sigma_1~) with sigma_1 != sigma_1~,
 # normalized so |sigma_1~| >= |sigma_1| and (-1, +1) when magnitudes tie.
 PAIR_ORDER = ((-1, 1), (0, 1), (0, -1))
 
-# Upper bound on the beta x class cells that max_tv evaluates at once: each
-# temporary of a block then holds at most 12 KiB, so a long beta grid, or a
-# large d, costs memory for one small block only.
+# Upper bound on the beta x class cells that max_tv evaluates at once: the
+# temporaries of tv_table are (betas, classes) planes, so each then holds at
+# most 4 KiB (the (betas, classes, pairs) result 12 KiB), and a long beta grid,
+# or a large d, costs memory for one small block only.
 _BLOCK_CELLS = 512
 
 
@@ -67,52 +72,100 @@ def _tail_stats(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 def tv_table(d: int, x: float, y: float, betas: np.ndarray) -> np.ndarray:
     """TV distances between the origin conditionals for each boundary pair,
-    per beta and tail class."""
+    per beta and tail class.
+
+    Each conditional is held as three (betas, classes) planes, one per origin
+    spin, so no step reduces over a short spin axis; the normalizer is summed
+    as (w_-1 + w_0) + w_+1 and the TV as (|D_-1| + |D_0|) + |D_+1|, the order
+    a length-3 numpy sum uses.
+    """
     k, n = _tail_stats(d)
     b = np.asarray(betas, dtype=np.float64)[:, None]
     dists = {}
     for s1 in (-1, 0, 1):
         coef = 2 * d * x + y * (k + s1 * s1)
         s = n + s1
-        exps = np.stack([b * (coef - s), np.zeros((len(b), len(k))), b * (coef + s)], axis=-1)
-        exps -= exps.max(axis=-1, keepdims=True)
-        w = np.exp(exps)
-        dists[s1] = w / w.sum(axis=-1, keepdims=True)
-    return np.stack(
-        [0.5 * np.abs(dists[p] - dists[q]).sum(axis=-1) for p, q in PAIR_ORDER], axis=-1
-    )
+        e_minus = b * (coef - s)
+        e_plus = b * (coef + s)
+        top = np.maximum(np.maximum(e_minus, 0.0), e_plus)
+        w = (np.exp(e_minus - top), np.exp(-top), np.exp(e_plus - top))
+        z = (w[0] + w[1]) + w[2]
+        dists[s1] = [plane / z for plane in w]
+    out = np.empty((len(b), len(k), len(PAIR_ORDER)))
+    for j, (p, q) in enumerate(PAIR_ORDER):
+        delta = [np.abs(u - v) for u, v in zip(dists[p], dists[q])]
+        np.multiply(0.5, (delta[0] + delta[1]) + delta[2], out=out[:, :, j])
+    return out
 
 
 def lemma1_table(d: int, x: float, y: float, betas: np.ndarray) -> np.ndarray:
     """|theta_+1| + |theta_-1| + |psi| per beta, tail class and normalized
     pair; vectorized mirror of bounds.lemma1_bound.
 
-    The factors 1 - exp(-|g|) depend on beta alone and are taken per beta with
-    math.expm1, as the scalar bound does.
+    The nine factors 1 - exp(-|e|) per beta (psi's and both thetas' for each
+    pair) depend on beta alone; they are taken in one pass with math.expm1,
+    as the scalar bound does.
     """
     k, n = _tail_stats(d)
     b = np.asarray(betas, dtype=np.float64)[:, None]
+    # per pair: |g| and e_inner for s = -1, +1, each a (betas, 1) column
+    columns, neg = [], []
+    for s1, st in PAIR_ORDER:
+        g = np.abs(b * (st - s1))
+        e_inner = [b * y * (st * st - s1 * s1) + b * s * (st - s1) for s in (-1, 1)]
+        columns.append((g, e_inner))
+        neg += [-2 * g, -np.abs(e_inner[0]), -np.abs(e_inner[1])]
+    neg = np.hstack(neg)
+    factors = np.array([-math.expm1(v) for v in neg.ravel().tolist()]).reshape(neg.shape)
     out = np.empty((len(b), len(k), len(PAIR_ORDER)))
-    for j, (s1, st) in enumerate(PAIR_ORDER):
+    for j, ((s1, st), (g, e_inner)) in enumerate(zip(PAIR_ORDER, columns)):
+        f_psi, *f_theta = (factors[:, 3 * j + i, None] for i in range(3))
         sig2 = k + s1 * s1
         e_prefix = b * (2 * d * x + y * sig2)
         e_psi = b * (4 * d * x + 2 * y * sig2) + b * y * (st * st - s1 * s1)
-        g = np.abs(b * (st - s1))
-        total = np.exp(e_psi + g) * _neg_expm1(-2 * g)
-        for s in (-1, 1):
-            e_inner = b * y * (st * st - s1 * s1) + b * s * (st - s1)
+        total = np.exp(e_psi + g) * f_psi
+        for s, e, f in zip((-1, 1), e_inner, f_theta):
             e_suffix = b * s * (s1 + n)
-            # |exp(e_inner) - 1| = exp(max(e_inner, 0)) * (1 - exp(-|e_inner|))
-            total = total + np.exp(e_prefix + e_suffix + np.maximum(e_inner, 0.0)) * _neg_expm1(
-                -np.abs(e_inner)
-            )
+            # |exp(e) - 1| = exp(max(e, 0)) * (1 - exp(-|e|))
+            total = total + np.exp(e_prefix + e_suffix + np.maximum(e, 0.0)) * f
         out[:, :, j] = total
     return out
 
 
-def _neg_expm1(column: np.ndarray) -> np.ndarray:
-    """-expm1 of each entry of a (betas, 1) column, by math.expm1."""
-    return np.array([[-math.expm1(v)] for v in column[:, 0].tolist()]).reshape(column.shape)
+class CaseBounds(NamedTuple):
+    """The beta-dependent case bounds of one strip point over a beta grid."""
+
+    lemma2: np.ndarray  # bounds.lemma2_bound per beta
+    lemma3: np.ndarray  # bounds.lemma3_bound per beta
+    theorem1: np.ndarray  # bounds.theorem1_bound per beta
+    r: float  # bounds.r_of_t(a / b), free of beta
+
+
+def case_bounds(d: int, x: float, y: float, betas: np.ndarray) -> CaseBounds:
+    """Lemma 2, Lemma 3 and Theorem 1 bounds for every beta of a grid, and
+    r(a/b); bit-for-bit the scalar bounds.* values.
+
+    The point is classified and its exponents taken once.  The exponents of
+    each term are formed for the whole grid in the scalar functions' order;
+    only bounds._decay, on math.exp and math.expm1, runs per beta.  Raises
+    DomainError outside A|B|C.
+    """
+    sub = bounds.require_sub_region(x, y)
+    ep = bounds.band_exponents(sub, d, x, y)
+    b = np.asarray(betas, dtype=np.float64)
+    if sub is SubRegion.C:
+        lemma2 = _decay(4.0, b * (2 * d * x + y + 1), -2 * b)
+        lemma3 = _decay(3.0, 2 * d * b * x, b * (y - 1))
+    else:
+        e = b * (2 * d * x + 2 * d * (y + 1))
+        lemma2 = _decay(4.0, e, -2 * b)
+        lemma3 = _decay(3.0, e, -b * (y + 1) if sub is SubRegion.A else -2 * b)
+    return CaseBounds(lemma2, lemma3, _decay(4.0, -b * ep.a, -b * ep.b), bounds.r_of_t(ep.a / ep.b))
+
+
+def _decay(c: float, e: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """bounds._decay per entry: c * exp(e) * (1 - exp(g)) for g <= 0."""
+    return np.array([bounds._decay(c, u, v) for u, v in zip(e.tolist(), g.tolist())])
 
 
 def first_max(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

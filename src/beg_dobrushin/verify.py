@@ -11,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import bounds, kernel
+from . import kernel
 from .errors import DomainError
 from .kernel import PAIR_ORDER
 from .model import ModelParams, SubRegion, check_dimension, check_finite, classify_region
@@ -184,21 +184,10 @@ def _sweep_point(spec: SweepSpec, point: tuple[float, float]) -> dict[Check, Che
 
     if requested_bound_checks and in_strip:
         l1 = kernel.lemma1_table(d, x, y, betas)
-        scalars = []
-        for beta in spec.beta_grid:
-            params = ModelParams(x=x, y=y, beta=beta, d=d)
-            ep = bounds.exponents(params)
-            scalars.append(
-                (
-                    bounds.lemma2_bound(params),
-                    bounds.lemma3_bound(params),
-                    bounds.theorem1_bound(params),
-                    bounds.r_of_t(ep.a / ep.b),
-                )
-            )
+        cases = kernel.case_bounds(d, x, y, betas)
         # per-beta case bounds, broadcast over (class, pair)
-        l2 = np.array([row[0] for row in scalars])[:, None, None]
-        l3 = np.array([row[1] for row in scalars])[:, None, None]
+        l2 = cases.lemma2[:, None, None]
+        l3 = cases.lemma3[:, None, None]
         if Check.TV_VS_LEMMA1 in spec.checks:
             record_table(Check.TV_VS_LEMMA1, l1 - tv, (0, 1, 2))
         if Check.LEMMA1_VS_LEMMA2 in spec.checks:
@@ -208,8 +197,11 @@ def _sweep_point(spec: SweepSpec, point: tuple[float, float]) -> dict[Check, Che
             record_table(Check.LEMMA1_VS_LEMMA3, l3 - l1[:, :, 1:], (1, 2))
         if Check.ALL_VS_THEOREM1 in spec.checks:
             res = results[Check.ALL_VS_THEOREM1]
-            for beta, (b2, b3, b1, r) in zip(spec.beta_grid, scalars):
-                for slack in (b1 - b2, b1 - b3, r - b1):
+            per_beta = zip(
+                spec.beta_grid, cases.lemma2.tolist(), cases.lemma3.tolist(), cases.theorem1.tolist()
+            )
+            for beta, b2, b3, b1 in per_beta:
+                for slack in (b1 - b2, b1 - b3, cases.r - b1):
                     res.record(slack, Witness(point, beta, None, None, slack))
     if Check.DOBRUSHIN_SATISFIED in spec.checks:
         res = results[Check.DOBRUSHIN_SATISFIED]
@@ -249,11 +241,15 @@ def find_failure_beta(
 
     The condition is evaluated on a geometric grid of n_grid betas at once;
     the first failing grid beta is then refined by bisection from the grid
-    beta before it.
+    beta before it.  The grid needs n_grid >= 2 and 0 < beta_min < beta_max.
     """
     # the grid lies between its endpoints, so checking them checks it all
     ModelParams(x=x, y=y, beta=beta_min, d=d)
     ModelParams(x=x, y=y, beta=beta_max, d=d)
+    if n_grid < 2:
+        raise DomainError(f"n_grid must be >= 2, got {n_grid}")
+    if not 0 < beta_min < beta_max:
+        raise DomainError(f"need 0 < beta_min < beta_max, got beta_min={beta_min}, beta_max={beta_max}")
     threshold = 1.0 / (2 * d)
 
     def fails(beta: float) -> bool:

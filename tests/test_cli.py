@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import beg_dobrushin
 from beg_dobrushin import ModelParams
 from beg_dobrushin.cli import main
 from conftest import class_loop_max_tv
@@ -243,6 +248,87 @@ class TestNonFiniteInput:
         assert code == 2
         assert out == ""
         assert "finite" in err
+
+
+class TestBadValues:
+    """Malformed values exit 2 with a message naming the key or option."""
+
+    @pytest.mark.parametrize(
+        "text, name",
+        [
+            ("d = abc\n", "d:"),
+            ("seed = 1.5\n", "seed:"),
+            ("beta_max = lots\n", "beta_max:"),
+            ("points = 1,2,3\n", "points:"),
+            ("points = -3,zero\n", "points:"),
+            ("beta_steps = 0\n", "beta_steps"),
+            ("points_per_region = 0\n", "points_per_region"),
+            ("beta_min = 0\n", "beta_min"),
+        ],
+    )
+    def test_spec_file_value(self, capsys, tmp_path, text, name):
+        spec_path = tmp_path / "sweep.spec"
+        spec_path.write_text(text)
+        code, out, err = run_cli(capsys, "verify", "--spec", str(spec_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {name}")
+
+    def test_binary_spec_file(self, capsys, tmp_path):
+        spec_path = tmp_path / "sweep.spec"
+        spec_path.write_bytes(b"d = \xff\xfe\n")
+        code, _, err = run_cli(capsys, "verify", "--spec", str(spec_path))
+        assert code == 2
+        assert str(spec_path) in err
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("verify", "--beta-min", "0"), "--beta-min"),
+            (("verify", "--beta-min", "-1", "--beta-max", "-0.5"), "--beta-min"),
+            (("scan", "-d", "2", "-x", "0", "-y", "-2", "--log", "--beta-min", "0"), "--beta-min"),
+            (("verify", "--beta-steps", "-3"), "--beta-steps"),
+            (("verify", "--beta-steps", "0"), "--beta-steps"),
+            (("verify", "--points-per-region", "-2"), "--points-per-region"),
+            (("verify", "--points-per-region", "0"), "--points-per-region"),
+        ],
+    )
+    def test_option_value(self, capsys, argv, name):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {name}")
+
+    def test_flag_overrides_bad_spec_value(self, capsys, tmp_path):
+        spec_path = tmp_path / "sweep.spec"
+        spec_path.write_text("beta_steps = 0\npoints_per_region = 1\n")
+        code, _, err = run_cli(capsys, "verify", "--spec", str(spec_path), "--beta-steps", "2")
+        assert code == 0
+        assert "error" not in err
+
+    def test_overflowing_json_output(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "curve", "-d", "2", "--y-min", "1e308", "--y-max", "1e308", "--steps", "2",
+            "--format", "json",
+        )
+        assert code == 2
+        assert out == ""
+        assert "too large" in err
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        src = str(Path(beg_dobrushin.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = [sys.executable, "-m", "beg_dobrushin", "region", "-d", "2", "-x", "-6", "-y", "0"]
+        done = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["sub"] == "B"
+        argv = [sys.executable, "-m", "beg_dobrushin", "verify", "--beta-steps", "0"]
+        done = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert "--beta-steps" in done.stderr
 
 
 class TestUsage:

@@ -1,10 +1,11 @@
 import random
+import struct
+import sys
 
 import numpy as np
 import pytest
 
-from beg_dobrushin import ModelParams
-from beg_dobrushin import kernel
+from beg_dobrushin import DomainError, ModelParams, bounds, kernel, model, verify
 from conftest import cell_lemma1_table, cell_tv_table, point_in_band
 
 
@@ -56,3 +57,62 @@ class TestMaxTv:
     def test_empty_beta_grid(self):
         top, cls, pair = kernel.max_tv(3, -3.0, 0.5, np.empty(0))
         assert len(top) == len(cls) == len(pair) == 0
+
+
+def bits(values) -> bytes:
+    return struct.pack(f"{len(values)}d", *values)
+
+
+class TestCaseBounds:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_equal_to_scalar_bounds_bit_for_bit(self, d):
+        points, betas = seeded_grid(d)
+        for x, y in points:
+            cases = kernel.case_bounds(d, x, y, betas)
+            params = [ModelParams(x=x, y=y, beta=beta, d=d) for beta in betas.tolist()]
+            assert cases.lemma2.tobytes() == bits([bounds.lemma2_bound(p) for p in params])
+            assert cases.lemma3.tobytes() == bits([bounds.lemma3_bound(p) for p in params])
+            assert cases.theorem1.tobytes() == bits([bounds.theorem1_bound(p) for p in params])
+            ep = bounds.exponents(params[0])
+            assert bits([cases.r]) == bits([bounds.r_of_t(ep.a / ep.b)])
+
+    def test_band_edges(self):
+        # y = 1 is in A and y = -1 in C; beta = 0 gives exact zeros
+        betas = np.array([0.0, 0.3, 7.0])
+        for x, y in ((-4.0, 1.0), (-4.0, -1.0), (-4.0, 0.999)):
+            cases = kernel.case_bounds(3, x, y, betas)
+            params = [ModelParams(x=x, y=y, beta=beta, d=3) for beta in betas.tolist()]
+            assert cases.lemma3.tobytes() == bits([bounds.lemma3_bound(p) for p in params])
+
+    @pytest.mark.parametrize("point", [(1.0, 1.0), (0.0, -2.0), (-0.5, 0.0), (-2.0, 1.0)])
+    def test_outside_strip_raises_like_scalar(self, point):
+        x, y = point
+        with pytest.raises(DomainError) as scalar:
+            bounds.lemma2_bound(ModelParams(x=x, y=y, beta=1.0, d=2))
+        with pytest.raises(DomainError) as batched:
+            kernel.case_bounds(2, x, y, np.array([1.0]))
+        assert str(batched.value) == str(scalar.value)
+
+    def test_empty_beta_grid(self):
+        cases = kernel.case_bounds(2, -3.0, 0.5, np.empty(0))
+        assert len(cases.lemma2) == len(cases.lemma3) == len(cases.theorem1) == 0
+
+
+class TestSweepPointClassification:
+    @pytest.mark.parametrize("point", [(-5.0, 2.0), (-3.0, 0.5), (-1.0, -3.0), (0.0, -2.0)])
+    def test_classifies_at_most_twice_per_point(self, point, monkeypatch):
+        calls = []
+        original = model.classify_region
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("beg_dobrushin") and getattr(module, "classify_region", None) is original:
+                monkeypatch.setattr(module, "classify_region", counting)
+        spec = verify.SweepSpec(
+            d=2, points=(point,), beta_grid=verify.log_beta_grid(), checks=verify.ALL_CHECKS
+        )
+        verify._sweep_point(spec, spec.points[0])
+        assert 1 <= len(calls) <= 2

@@ -213,6 +213,22 @@ class TestFindFailureBeta:
         with pytest.raises(DomainError):
             find_failure_beta(2, 0.0, -2.0, beta_max=math.inf)
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"n_grid": 0},
+            {"n_grid": 1},
+            {"beta_min": 5.0, "beta_max": 1.0},
+            {"beta_min": 2.0, "beta_max": 2.0},
+            {"beta_min": 0.0},
+        ],
+    )
+    def test_rejects_degenerate_grid(self, grid):
+        # (2, 0.3, -2) fails near beta = 0.44, so a grid that returned None
+        # or its own endpoint here would misreport the point
+        with pytest.raises(DomainError):
+            find_failure_beta(2, 0.3, -2.0, **grid)
+
     def test_inside_region_never_fails(self):
         assert find_failure_beta(2, -6.0, 0.0) is None
         assert find_failure_beta(2, -10.0, 2.0) is None
