@@ -25,39 +25,33 @@ def _fmt(value: float) -> str:
     return format(value, ".9g")
 
 
-def _round9(value: float) -> float:
-    return float(_fmt(value))
-
-
-def _json_text(payload) -> str:
-    """Strict JSON; DomainError when a result overflowed to inf or nan."""
-    try:
-        return json.dumps(payload, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise DomainError(f"{exc}; an input is too large in magnitude") from None
+def _field(value, fmt: str):
+    """One output field: a float to 9 significant digits, as a number in JSON
+    and as text in CSV.  DomainError when a result overflowed to inf or nan,
+    in either format."""
+    if not isinstance(value, float):
+        return value if fmt == "json" else str(value)
+    if not math.isfinite(value):
+        raise DomainError(f"result {value!r} is not finite; an input is too large in magnitude")
+    return float(_fmt(value)) if fmt == "json" else _fmt(value)
 
 
 def _emit_record(record: dict, fmt: str, out) -> None:
     if fmt == "json":
-        out.write(_json_text({k: _round9(v) if isinstance(v, float) else v for k, v in record.items()}))
-        out.write("\n")
+        fields = {k: _field(v, fmt) for k, v in record.items()}
+        out.write(json.dumps(fields, indent=2, allow_nan=False) + "\n")
     else:
-        out.write(",".join(record.keys()) + "\n")
-        out.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in record.values()) + "\n")
+        _emit_rows(list(record), [tuple(record.values())], fmt, out)
 
 
 def _emit_rows(header: list[str], rows: list[tuple], fmt: str, out) -> None:
+    # every field is checked before anything is written
+    fields = [[_field(v, fmt) for v in row] for row in rows]
     if fmt == "json":
-        payload = [
-            {k: _round9(v) if isinstance(v, float) else v for k, v in zip(header, row)}
-            for row in rows
-        ]
-        out.write(_json_text(payload))
-        out.write("\n")
+        payload = [dict(zip(header, row)) for row in fields]
+        out.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     else:
-        out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+        out.write("".join(",".join(line) + "\n" for line in [header, *fields]))
 
 
 def _open_output(path: str | None):
@@ -281,13 +275,15 @@ def _finite_float(text: str) -> float:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads exponent-form negatives such as `-y -6.7e-05` as values; the
-    stock pattern accepts only `-6` and `-0.5` forms and takes the rest for
-    an unknown option."""
+    """Reads exponent-form negatives such as `-y -6.7e-05`, and `-inf`, as
+    values; the stock pattern accepts only `-6` and `-0.5` forms and takes
+    the rest for an unknown option.  (`-inf` is then refused as not finite.)"""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)([eE][+-]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:

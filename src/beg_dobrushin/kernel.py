@@ -98,37 +98,54 @@ def tv_table(d: int, x: float, y: float, betas: np.ndarray) -> np.ndarray:
     return out
 
 
+# sigma_1, sigma_1~^2 - sigma_1^2 and sigma_1~ - sigma_1 of each PAIR_ORDER pair
+_S1 = np.array([s1 for s1, _ in PAIR_ORDER], dtype=np.float64)
+_DSQ = np.array([st * st - s1 * s1 for s1, st in PAIR_ORDER], dtype=np.float64)
+_STEP = np.array([st - s1 for s1, st in PAIR_ORDER], dtype=np.float64)
+
+
+@lru_cache(maxsize=None)
+def _pair_stats(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """sigma^2 = k + sigma_1^2 and sigma_1 + n per class and pair, shape
+    (classes, pairs) (read-only, shared by every caller)."""
+    k, n = _tail_stats(d)
+    stats = k[:, None] + _S1 * _S1, _S1 + n[:, None]
+    for a in stats:
+        a.flags.writeable = False
+    return stats
+
+
 def lemma1_table(d: int, x: float, y: float, betas: np.ndarray) -> np.ndarray:
     """|theta_+1| + |theta_-1| + |psi| per beta, tail class and normalized
     pair; vectorized mirror of bounds.lemma1_bound.
 
-    The nine factors 1 - exp(-|e|) per beta (psi's and both thetas' for each
-    pair) depend on beta alone; they are taken in one pass with math.expm1,
-    as the scalar bound does.
+    All pairs are evaluated at once on (betas, classes, pairs) arrays, with
+    each pair's sigma_1 terms as length-3 vectors; every entry repeats the
+    single-pair operations in the same order.  The nine factors
+    1 - exp(-|e|) per beta (psi's and both thetas' for each pair) depend on
+    beta alone; they are taken in one pass with math.expm1, as the scalar
+    bound does.
     """
-    k, n = _tail_stats(d)
+    sig2, s1_n = _pair_stats(d)
     b = np.asarray(betas, dtype=np.float64)[:, None]
-    # per pair: |g| and e_inner for s = -1, +1, each a (betas, 1) column
-    columns, neg = [], []
-    for s1, st in PAIR_ORDER:
-        g = np.abs(b * (st - s1))
-        e_inner = [b * y * (st * st - s1 * s1) + b * s * (st - s1) for s in (-1, 1)]
-        columns.append((g, e_inner))
-        neg += [-2 * g, -np.abs(e_inner[0]), -np.abs(e_inner[1])]
-    neg = np.hstack(neg)
+    # (betas, pairs) columns: |g|, the psi exponent's pair term and e_inner
+    # for s = -1, +1
+    g = np.abs(b * _STEP)
+    e_pair = b * y * _DSQ
+    e_inner = (e_pair + -b * _STEP, e_pair + b * _STEP)
+    neg = np.stack((-2 * g, -np.abs(e_inner[0]), -np.abs(e_inner[1])))
     factors = np.array([-math.expm1(v) for v in neg.ravel().tolist()]).reshape(neg.shape)
-    out = np.empty((len(b), len(k), len(PAIR_ORDER)))
-    for j, ((s1, st), (g, e_inner)) in enumerate(zip(PAIR_ORDER, columns)):
-        f_psi, *f_theta = (factors[:, 3 * j + i, None] for i in range(3))
-        sig2 = k + s1 * s1
-        e_prefix = b * (2 * d * x + y * sig2)
-        e_psi = b * (4 * d * x + 2 * y * sig2) + b * y * (st * st - s1 * s1)
-        total = np.exp(e_psi + g) * f_psi
-        for s, e, f in zip((-1, 1), e_inner, f_theta):
-            e_suffix = b * s * (s1 + n)
-            # |exp(e) - 1| = exp(max(e, 0)) * (1 - exp(-|e|))
-            total = total + np.exp(e_prefix + e_suffix + np.maximum(e, 0.0)) * f
-        out[:, :, j] = total
+    f_psi, f_minus, f_plus = factors[:, :, None, :]
+    b = b[:, :, None]
+    e_prefix = b * (2 * d * x + y * sig2)
+    e_psi = b * (4 * d * x + 2 * y * sig2) + e_pair[:, None, :]
+    out = np.exp(e_psi + g[:, None, :])
+    out *= f_psi
+    for s, e, f in ((-b, e_inner[0], f_minus), (b, e_inner[1], f_plus)):
+        # |exp(e) - 1| = exp(max(e, 0)) * (1 - exp(-|e|))
+        term = np.exp(e_prefix + s * s1_n + np.maximum(e, 0.0)[:, None, :])
+        term *= f
+        out += term
     return out
 
 

@@ -89,14 +89,6 @@ class CheckResult:
     def passed(self) -> bool:
         return self.worst_slack is None or self.worst_slack >= -SLACK_TOL
 
-    def record(self, slack: float, witness: Witness | None) -> None:
-        if self.worst_slack is None or slack < self.worst_slack:
-            self.worst_slack = slack
-        if slack < -SLACK_TOL:
-            self.fail_count += 1
-            if witness is not None and len(self.witnesses) < MAX_WITNESSES:
-                self.witnesses.append(witness)
-
     def merge(self, other: "CheckResult") -> None:
         if other.worst_slack is not None:
             if self.worst_slack is None or other.worst_slack < self.worst_slack:
@@ -162,25 +154,28 @@ def _sweep_point(spec: SweepSpec, point: tuple[float, float]) -> dict[Check, Che
     def tail_of(i: int) -> tuple[int, ...]:
         return tuple(int(v) for v in tails[i])
 
-    def record_table(check: Check, slack: np.ndarray, cols) -> None:
-        """Record a (beta, class, pair) slack table; witnesses go beta-major,
-        then class, then pair."""
+    def record(check: Check, slack: np.ndarray, cell, weights=None) -> None:
+        """Record a slack array whose leading axis is beta.  The worst slack is
+        its first minimum (by argmin: numpy's min may return a later zero of
+        the other sign) and witnesses go in index order (beta-major), as one
+        cell at a time would record them.  cell(index) gives a failing index's
+        (tail, pair); weights[i] counts the tails that index i of axis 1
+        stands for (each index counts once without weights)."""
         res = results[check]
-        res.worst_slack = float(slack.min())
+        flat = slack.ravel()
+        res.worst_slack = float(flat[flat.argmin()])
         if res.worst_slack < -SLACK_TOL:
             bad = np.argwhere(slack < -SLACK_TOL)
-            # each failing class cell stands for every tail of its class
-            res.fail_count = sum(mult[ti] for ti in bad[:, 1].tolist())
+            res.fail_count = len(bad) if weights is None else sum(weights[i] for i in bad[:, 1].tolist())
             res.witnesses = [
-                Witness(
-                    point,
-                    spec.beta_grid[bi],
-                    tail_of(ti),
-                    PAIR_ORDER[cols[ci]],
-                    float(slack[bi, ti, ci]),
-                )
-                for bi, ti, ci in bad[:MAX_WITNESSES].tolist()
+                Witness(point, spec.beta_grid[idx[0]], *cell(idx), float(slack[tuple(idx)]))
+                for idx in bad[:MAX_WITNESSES].tolist()
             ]
+
+    def table_cell(cols):
+        """cell() of a (beta, class, pair) table whose pair axis holds the
+        PAIR_ORDER pairs cols."""
+        return lambda idx: (tail_of(idx[1]), PAIR_ORDER[cols[idx[2]]])
 
     if requested_bound_checks and in_strip:
         l1 = kernel.lemma1_table(d, x, y, betas)
@@ -188,28 +183,26 @@ def _sweep_point(spec: SweepSpec, point: tuple[float, float]) -> dict[Check, Che
         # per-beta case bounds, broadcast over (class, pair)
         l2 = cases.lemma2[:, None, None]
         l3 = cases.lemma3[:, None, None]
+        # a failing class cell stands for every tail of its class
         if Check.TV_VS_LEMMA1 in spec.checks:
-            record_table(Check.TV_VS_LEMMA1, l1 - tv, (0, 1, 2))
+            record(Check.TV_VS_LEMMA1, l1 - tv, table_cell((0, 1, 2)), mult)
         if Check.LEMMA1_VS_LEMMA2 in spec.checks:
             # the single equal-magnitude pair is PAIR_ORDER[0] = (-1, +1)
-            record_table(Check.LEMMA1_VS_LEMMA2, l2 - l1[:, :, :1], (0,))
+            record(Check.LEMMA1_VS_LEMMA2, l2 - l1[:, :, :1], table_cell((0,)), mult)
         if Check.LEMMA1_VS_LEMMA3 in spec.checks:
-            record_table(Check.LEMMA1_VS_LEMMA3, l3 - l1[:, :, 1:], (1, 2))
+            record(Check.LEMMA1_VS_LEMMA3, l3 - l1[:, :, 1:], table_cell((1, 2)), mult)
         if Check.ALL_VS_THEOREM1 in spec.checks:
-            res = results[Check.ALL_VS_THEOREM1]
-            per_beta = zip(
-                spec.beta_grid, cases.lemma2.tolist(), cases.lemma3.tolist(), cases.theorem1.tolist()
-            )
-            for beta, b2, b3, b1 in per_beta:
-                for slack in (b1 - b2, b1 - b3, cases.r - b1):
-                    res.record(slack, Witness(point, beta, None, None, slack))
+            # per beta: Theorem 1 - Lemma 2, Theorem 1 - Lemma 3, r - Theorem 1
+            t1 = cases.theorem1
+            slack = np.stack((t1 - cases.lemma2, t1 - cases.lemma3, cases.r - t1), axis=1)
+            record(Check.ALL_VS_THEOREM1, slack, lambda idx: (None, None))
     if Check.DOBRUSHIN_SATISFIED in spec.checks:
-        res = results[Check.DOBRUSHIN_SATISFIED]
-        threshold = 1.0 / (2 * d)
         top, tail_i, pair_i = kernel.first_max(tv)
-        for beta, t, ti, ci in zip(spec.beta_grid, top.tolist(), tail_i.tolist(), pair_i.tolist()):
-            slack = threshold - t
-            res.record(slack, Witness(point, beta, tail_of(ti), PAIR_ORDER[ci], slack))
+        record(
+            Check.DOBRUSHIN_SATISFIED,
+            1.0 / (2 * d) - top,
+            lambda idx: (tail_of(tail_i[idx[0]]), PAIR_ORDER[pair_i[idx[0]]]),
+        )
     return results
 
 

@@ -14,6 +14,7 @@ from beg_dobrushin import (
 )
 from beg_dobrushin.kernel import PAIR_ORDER
 from beg_dobrushin.model import MajorRegion
+from beg_dobrushin.verify import MAX_WITNESSES, SLACK_TOL, CheckResult
 
 
 def point_in_band(band: str, rng: random.Random) -> tuple[float, float]:
@@ -140,6 +141,22 @@ def sequential_failure_beta(d, x, y, beta_min=1e-3, beta_max=100.0, n_grid=120):
             return hi
         prev = beta
     return None
+
+
+def sequential_record(name, cells) -> CheckResult:
+    """Reference for the sweep's array recording: a check recorded one cell at
+    a time from (slack, witness, count) triples in order.  The worst slack is
+    the first strict minimum; a slack below -SLACK_TOL adds count to
+    fail_count and keeps its witness while fewer than MAX_WITNESSES are kept."""
+    res = CheckResult(name=name)
+    for slack, witness, count in cells:
+        if res.worst_slack is None or slack < res.worst_slack:
+            res.worst_slack = slack
+        if slack < -SLACK_TOL:
+            res.fail_count += count
+            if len(res.witnesses) < MAX_WITNESSES:
+                res.witnesses.append(witness)
+    return res
 
 
 @pytest.fixture

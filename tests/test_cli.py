@@ -1,14 +1,20 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import beg_dobrushin
-from beg_dobrushin import ModelParams
+from beg_dobrushin import ModelParams, verify
 from beg_dobrushin.cli import main
 from conftest import class_loop_max_tv
 
@@ -231,6 +237,41 @@ class TestVerifyCommand:
         digest = hashlib.sha256(json.dumps(checks, sort_keys=True, indent=2).encode()).hexdigest()
         assert digest == self.CHECKS_SHA256[d]
 
+    ALL_CHECKS = "TVvsLemma1,Lemma1vsLemma2,Lemma1vsLemma3,AllvsTheorem1,DobrushinSatisfied"
+
+    # sha256 of the whole stdout of `begdob verify -d D --checks <all five>`
+    FULL_SHA256 = {
+        1: "fe343f140c35e11b655ec703a20c77bbf9679a12dbecdae05686abc9c74e4ad3",
+        2: "edaa3502cb39da8a390eb0641a1af594a7d2440d8a41150c0b72b0dabd051328",
+        3: "aad26aed52f0a2ad47d823338baf5db8a7184aed9a6e68b419821e64d82f35ec",
+    }
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_all_checks_report_is_pinned(self, capsys, d):
+        code, out, _ = run_cli(capsys, "verify", "-d", str(d), "--checks", self.ALL_CHECKS)
+        assert code == 1  # DobrushinSatisfied fails right of the curve
+        assert hashlib.sha256(out.encode()).hexdigest() == self.FULL_SHA256[d]
+
+    # sha256 of the report `begdob verify` writes for all five checks on a
+    # linear grid from beta = 0, at the default points and three points outside
+    # the strip (the command-line grid is logarithmic, so the spec is built here)
+    ZERO_GRID_SHA256 = {
+        1: "fd418f6d3947abb102db73a86458ef50709dc7edc2b826eb7ae44364daa6e540",
+        2: "e8bcfc2d5a12724c853deaa04fb0f9b1ff1de644c3fc90eba84985fae8f1becb",
+        3: "c64f1ba3c8c2d10972cffabc118135a5e938c754255f6daa802c265a38959819",
+    }
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_grid_from_zero_report_is_pinned(self, d):
+        spec = verify.SweepSpec(
+            d=d,
+            points=verify.sample_strip_points(20) + ((0.0, -2.0), (0.2, -1.9), (1.0, 1.0)),
+            beta_grid=tuple(np.linspace(0.0, 20.0, 41).tolist()),
+            checks=verify.ALL_CHECKS,
+        )
+        text = verify.run_sweep(spec).to_json() + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == self.ZERO_GRID_SHA256[d]
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize(
@@ -306,6 +347,26 @@ class TestBadValues:
         assert code == 0
         assert "error" not in err
 
+    def test_overflowing_csv_output(self, capsys):
+        argv = ("curve", "-d", "2", "--y-min", "1e308", "--y-max", "1e308", "--steps", "2")
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 2
+        assert out == ""
+        assert (code, err) == run_cli(capsys, *argv, "--format", "json")[::2]
+
+    def test_finite_csv_output_unchanged(self, capsys):
+        code, out, _ = run_cli(capsys, "curve", "-d", "2", "--y-min", "-2", "--y-max", "2", "--steps", "3")
+        assert code == 0
+        assert out == "y,x_curve\n-2,-4.04486436\n0,-3.69657624\n2,-7.04486436\n"
+        code, out, _ = run_cli(capsys, "region", "-d", "2", "-x", "-6", "-y", "0", "--format", "csv")
+        assert code == 0
+        assert out == "d,x,y,major,sub,curve_x,in_dobrushin\n2,-6,0,Disordered,B,-3.69657624,True\n"
+        code, out, _ = run_cli(capsys, "bounds", "-d", "2", "-x", "-5", "-y", "2", "--beta", "0.7", "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[1] == (
+            "2,-5,2,0.7,8,3,0.106151244,0.0129801461,0.011143927,0.0097351096,0.466639358,0.25"
+        )
+
     def test_overflowing_json_output(self, capsys):
         code, out, err = run_cli(
             capsys,
@@ -315,6 +376,28 @@ class TestBadValues:
         assert code == 2
         assert out == ""
         assert "too large" in err
+
+
+class TestFloatOptionProperty:
+    @given(st.floats())
+    @example(-math.inf)
+    @example(math.inf)
+    @example(math.nan)
+    @example(-6.7e-05)
+    @example(-0.0)
+    def test_region_x_accepts_exactly_the_finite_values(self, value):
+        # every float as Python writes it: exponent-form negatives, -0.0,
+        # nan, inf and -inf included
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["region", "-d", "2", "-x", repr(value), "-y", "0"])
+        if math.isfinite(value):
+            assert code == 0, err.getvalue()
+            assert json.loads(out.getvalue())["x"] == float(format(value, ".9g"))
+        else:
+            assert code == 2
+            assert out.getvalue() == ""
+            assert "argument -x: expected a finite number" in err.getvalue()
 
 
 class TestModuleEntryPoint:

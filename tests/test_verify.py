@@ -13,13 +13,15 @@ from beg_dobrushin import (
     SweepSpec,
     conditional_distribution,
     default_certification_spec,
+    exact_max_tv,
     find_failure_beta,
     in_dobrushin_region,
     run_sweep,
     total_variation,
 )
 from beg_dobrushin import kernel
-from beg_dobrushin.kernel import PAIR_ORDER
+from beg_dobrushin.kernel import PAIR_ORDER, CaseBounds
+from beg_dobrushin.model import SubRegion, classify_region
 from beg_dobrushin.verify import (
     ALL_CHECKS,
     BOUND_CHECKS,
@@ -28,7 +30,13 @@ from beg_dobrushin.verify import (
     Witness,
     log_beta_grid,
 )
-from conftest import cell_tv_table, full_tails, sequential_failure_beta
+from conftest import (
+    cell_lemma1_table,
+    cell_tv_table,
+    full_tails,
+    sequential_failure_beta,
+    sequential_record,
+)
 
 
 def small_spec(**overrides):
@@ -174,6 +182,134 @@ class TestRunSweep:
         for witness in check.witnesses:
             # the first member of a (k, #plus) class lists -1s, then 0s, then +1s
             assert witness.tail == tuple(sorted(witness.tail))
+
+
+def per_cell_results(spec):
+    """Every check of a sweep recorded one cell at a time through
+    sequential_record, in point, beta, class, pair order, from per-beta
+    values: the per-cell tables, kernel.case_bounds at one beta and
+    exact_max_tv."""
+    cells = {c: [] for c in spec.checks}
+    unclassifiable = []
+    tails, mult = kernel.classes(spec.d)
+    for point in spec.points:
+        x, y = point
+        in_strip = classify_region(x, y).sub in (SubRegion.A, SubRegion.B, SubRegion.C)
+        if not in_strip:
+            unclassifiable.append(point)
+        for beta in spec.beta_grid:
+            params = ModelParams(x=x, y=y, beta=beta, d=spec.d)
+            if Check.DOBRUSHIN_SATISFIED in spec.checks:
+                report = exact_max_tv(params)
+                nb, st = report.argmax_pair
+                slack = 1.0 / (2 * spec.d) - report.max_tv
+                witness = Witness(point, beta, nb.spins[1:], (nb.spins[0], st), slack)
+                cells[Check.DOBRUSHIN_SATISFIED].append((slack, witness, 1))
+            if not in_strip:
+                continue
+            tv = cell_tv_table(params, tails).tolist()
+            l1 = cell_lemma1_table(params, tails).tolist()
+            cases = kernel.case_bounds(spec.d, x, y, np.array([beta]))
+            l2, l3, t1 = cases.lemma2[0], cases.lemma3[0], cases.theorem1[0]
+            for ti, tail in enumerate(tails.tolist()):
+                for ci, pair in enumerate(PAIR_ORDER):
+                    # Lemma 2 bounds the equal-magnitude pair PAIR_ORDER[0], Lemma 3 the rest
+                    case, bound = (Check.LEMMA1_VS_LEMMA2, l2) if ci == 0 else (Check.LEMMA1_VS_LEMMA3, l3)
+                    for check, slack in ((Check.TV_VS_LEMMA1, l1[ti][ci] - tv[ti][ci]), (case, bound - l1[ti][ci])):
+                        if check in spec.checks:
+                            slack = float(slack)
+                            witness = Witness(point, beta, tuple(tail), pair, slack)
+                            cells[check].append((slack, witness, mult[ti]))
+            if Check.ALL_VS_THEOREM1 in spec.checks:
+                for slack in (t1 - l2, t1 - l3, cases.r - t1):
+                    slack = float(slack)
+                    cells[Check.ALL_VS_THEOREM1].append((slack, Witness(point, beta, None, None, slack), 1))
+    results = {}
+    for check, check_cells in cells.items():
+        results[check.value] = sequential_record(check.value, check_cells)
+        if check in BOUND_CHECKS:
+            results[check.value].unclassifiable = list(unclassifiable)
+    return results
+
+
+def assert_records_equal(report, want):
+    got = {c.name: c for c in report.checks}
+    assert got.keys() == want.keys()
+    for name, check in got.items():
+        assert check == want[name], name
+        # == does not tell 0.0 from -0.0
+        assert repr(check.worst_slack) == repr(want[name].worst_slack), name
+
+
+class TestArrayRecording:
+    """The sweep records every check from whole-grid slack arrays; the result
+    equals recording one cell at a time."""
+
+    @staticmethod
+    def fake_case_bounds(values, r):
+        """A kernel.case_bounds stand-in whose per-beta (lemma2, lemma3,
+        theorem1) are drawn from values, seeded by (x, y, beta) alone, so a
+        one-beta call agrees with the whole-grid call."""
+
+        def case_bounds(d, x, y, betas):
+            rows = []
+            for beta in np.asarray(betas).tolist():
+                draw = random.Random(f"{x} {y} {beta}")
+                rows.append([draw.choice(values) for _ in range(3)])
+            l2, l3, t1 = np.array(rows, dtype=np.float64).reshape(-1, 3).T
+            return CaseBounds(l2.copy(), l3.copy(), t1.copy(), r)
+
+        return case_bounds
+
+    def test_all_vs_theorem1_beyond_witness_cap(self, monkeypatch):
+        # ties among few values, and far more than MAX_WITNESSES failures
+        monkeypatch.setattr(kernel, "case_bounds", self.fake_case_bounds((0.0, 0.25, 0.5, 1.0), 0.5))
+        spec = small_spec(beta_grid=log_beta_grid(), checks=frozenset({Check.ALL_VS_THEOREM1}))
+        want = per_cell_results(spec)
+        assert want["AllvsTheorem1"].fail_count > MAX_WITNESSES
+        assert_records_equal(run_sweep(spec), want)
+
+    @pytest.mark.parametrize("first, later", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_sign_of_zero_worst_slack(self, first, later, monkeypatch):
+        # Theorem 1 - Lemma 2 is 0.0 - 0.0 = 0.0 or -0.0 - 0.0 = -0.0: the
+        # worst slack is the first zero, with its sign
+        def case_bounds(d, x, y, betas):
+            t1 = np.array([first if beta < 1.0 else later for beta in np.asarray(betas).tolist()])
+            return CaseBounds(np.zeros(len(t1)), np.zeros(len(t1)), t1, 1.0)
+
+        monkeypatch.setattr(kernel, "case_bounds", case_bounds)
+        spec = small_spec(beta_grid=log_beta_grid(), checks=frozenset({Check.ALL_VS_THEOREM1}))
+        report = run_sweep(spec)
+        assert repr(report.checks[0].worst_slack) == repr(first - 0.0)
+        assert_records_equal(report, per_cell_results(spec))
+
+    def test_dobrushin_at_failing_points(self):
+        spec = small_spec(
+            points=(
+                (0.0, -2.0), (-6.0, 0.0), (0.2, -1.9), (1.0, 1.0), (0.5, -3.0),
+                (2.0, 0.0), (0.5, 1.0), (-1.0, 3.0), (3.0, -5.0),
+            ),
+            beta_grid=log_beta_grid(),
+            checks=frozenset({Check.DOBRUSHIN_SATISFIED}),
+        )
+        want = per_cell_results(spec)
+        assert want["DobrushinSatisfied"].fail_count > MAX_WITNESSES
+        assert_records_equal(run_sweep(spec), want)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_grid_from_zero_all_checks(self, d):
+        # at beta = 0 every bound and TV is 0.0, so the Lemma 2/3 checks' worst
+        # slack is a tie of zeros; (0, -2) and (1, 1) lie outside the strip
+        spec = small_spec(
+            d=d,
+            points=((-5.0, 2.0), (-3.0, 0.0), (-1.0, -3.0), (0.0, -2.0), (1.0, 1.0), (-2.5, -0.5)),
+            beta_grid=tuple(np.linspace(0.0, 12.0, 13).tolist()),
+            checks=ALL_CHECKS,
+        )
+        want = per_cell_results(spec)
+        assert repr(want["Lemma1vsLemma2"].worst_slack) == "0.0"
+        assert want["DobrushinSatisfied"].fail_count > 0
+        assert_records_equal(run_sweep(spec), want)
 
 
 class TestDefaultSpec:
