@@ -2,6 +2,9 @@
 evaluation, temperature scans and certification sweeps.
 
 Exit codes: 0 success, 1 check failure, 2 usage or parse error.
+
+Each ``cmd_*`` returns its formatted output and exit code (``verify`` also a
+stderr summary); only ``main`` writes, so a failed command leaves ``-o`` alone.
 """
 
 from __future__ import annotations
@@ -36,31 +39,19 @@ def _field(value, fmt: str):
     return float(_fmt(value)) if fmt == "json" else _fmt(value)
 
 
-def _emit_record(record: dict, fmt: str, out) -> None:
+def _format(records: dict | list[dict], fmt: str) -> str:
+    """Records as CSV under a header of their keys, or as JSON: one record (a
+    dict) as an object, a list of records as an array.  Every field is checked
+    before any text is made."""
+    rows = [records] if isinstance(records, dict) else records
+    fields = [{k: _field(v, fmt) for k, v in row.items()} for row in rows]
     if fmt == "json":
-        fields = {k: _field(v, fmt) for k, v in record.items()}
-        out.write(json.dumps(fields, indent=2, allow_nan=False) + "\n")
-    else:
-        _emit_rows(list(record), [tuple(record.values())], fmt, out)
+        payload = fields[0] if isinstance(records, dict) else fields
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    return "".join(",".join(line) + "\n" for line in [list(rows[0]), *(f.values() for f in fields)])
 
 
-def _emit_rows(header: list[str], rows: list[tuple], fmt: str, out) -> None:
-    # every field is checked before anything is written
-    fields = [[_field(v, fmt) for v in row] for row in rows]
-    if fmt == "json":
-        payload = [dict(zip(header, row)) for row in fields]
-        out.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
-    else:
-        out.write("".join(",".join(line) + "\n" for line in [header, *fields]))
-
-
-def _open_output(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
-
-
-def cmd_region(args) -> int:
+def cmd_region(args) -> tuple[str, int]:
     label = classify_region(args.x, args.y)
     record = {
         "d": args.d,
@@ -71,30 +62,18 @@ def cmd_region(args) -> int:
         "curve_x": region.curve_x(args.d, args.y),
         "in_dobrushin": region.in_dobrushin_region(args.d, args.x, args.y),
     }
-    out, close = _open_output(args.output)
-    try:
-        _emit_record(record, args.format, out)
-    finally:
-        if close:
-            out.close()
-    return 0
+    return _format(record, args.format), 0
 
 
-def cmd_curve(args) -> int:
+def cmd_curve(args) -> tuple[str, int]:
     if args.steps < 2:
         raise DomainError("steps must be >= 2")
     ys = np.linspace(args.y_min, args.y_max, args.steps)
-    rows = [(float(y), region.curve_x(args.d, float(y))) for y in ys]
-    out, close = _open_output(args.output)
-    try:
-        _emit_rows(["y", "x_curve"], rows, args.format, out)
-    finally:
-        if close:
-            out.close()
-    return 0
+    rows = [{"y": float(y), "x_curve": region.curve_x(args.d, float(y))} for y in ys]
+    return _format(rows, args.format), 0
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> tuple[str, int]:
     params = ModelParams(x=args.x, y=args.y, beta=args.beta, d=args.d)
     ep = bounds.exponents(params)
     record = {
@@ -111,16 +90,10 @@ def cmd_bounds(args) -> int:
         "r_at_a_over_b": bounds.r_of_t(ep.a / ep.b),
         "threshold": 1.0 / (2 * args.d),
     }
-    out, close = _open_output(args.output)
-    try:
-        _emit_record(record, args.format, out)
-    finally:
-        if close:
-            out.close()
-    return 0
+    return _format(record, args.format), 0
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> tuple[str, int]:
     if args.steps < 2:
         raise DomainError("steps must be >= 2")
     if args.log:
@@ -132,14 +105,9 @@ def cmd_scan(args) -> int:
     ModelParams(x=args.x, y=args.y, beta=args.beta_max, d=args.d)
     threshold = 1.0 / (2 * args.d)
     top = kernel.max_tv(args.d, args.x, args.y, betas)[0]
-    rows = [(beta, t, threshold, t < threshold) for beta, t in zip(betas.tolist(), top.tolist())]
-    out, close = _open_output(args.output)
-    try:
-        _emit_rows(["beta", "max_tv", "threshold", "satisfied"], rows, args.format, out)
-    finally:
-        if close:
-            out.close()
-    return 0
+    rows = [{"beta": beta, "max_tv": t, "threshold": threshold, "satisfied": t < threshold}
+            for beta, t in zip(betas.tolist(), top.tolist())]
+    return _format(rows, args.format), 0
 
 
 def parse_spec_file(path: str) -> dict:
@@ -243,25 +211,19 @@ def _spec_from_args(args) -> verify.SweepSpec:
     return verify.SweepSpec(d=d, points=points, beta_grid=beta_grid, checks=checks)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[str, int, str]:
     report = verify.run_sweep(_spec_from_args(args))
-    out, close = _open_output(args.output)
-    try:
-        out.write(report.to_json() + "\n")
-    finally:
-        if close:
-            out.close()
+    summary = []
     for check in report.checks:
         status = "pass" if check.passed else "FAIL"
         slack = "n/a" if check.worst_slack is None else _fmt(check.worst_slack)
-        print(f"{check.name}: {status} (worst slack {slack})", file=sys.stderr)
+        summary.append(f"{check.name}: {status} (worst slack {slack})\n")
         for witness in check.witnesses[:5]:
-            print(
+            summary.append(
                 f"  witness: point={witness.point} beta={_fmt(witness.beta)} "
-                f"pair={witness.pair} slack={_fmt(witness.slack)}",
-                file=sys.stderr,
+                f"pair={witness.pair} slack={_fmt(witness.slack)}\n"
             )
-    return 0 if report.all_passed else 1
+    return report.to_json() + "\n", 0 if report.all_passed else 1, "".join(summary)
 
 
 def _finite_float(text: str) -> float:
@@ -353,10 +315,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        text, code, *summary = args.func(args)
+        if args.output is None or args.output == "-":
+            sys.stdout.write(text)
+        else:
+            with open(args.output, "w") as out:
+                out.write(text)
     except (DomainError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stderr.write("".join(summary))
+    return code
 
 
 def run() -> None:

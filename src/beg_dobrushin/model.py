@@ -86,10 +86,6 @@ class NeighborConfig:
     def d(self) -> int:
         return len(self.spins) // 2
 
-    @property
-    def distinguished(self) -> int:
-        return self.spins[0]
-
     def with_distinguished(self, spin: int) -> "NeighborConfig":
         check_spin(spin)
         return NeighborConfig((spin,) + self.spins[1:])

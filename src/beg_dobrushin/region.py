@@ -3,21 +3,20 @@ membership tests, and the Blume-Capel critical coupling."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .bounds import r_of_t
-from .errors import DomainError
-from .model import SubRegion, classify_region
+from .model import SubRegion, check_dimension, classify_region
 
 _BISECT_TOL = 1e-12
 
 
-def _solve_t(d: int) -> float:
-    """Bisection for the unique t > 0 with r(t) = 1/(2d); r is strictly
-    decreasing with r(1) = 1 > 1/(2d), so [1, T] brackets the root once
-    r(T) < 1/(2d)."""
-    target = 1.0 / (2 * d)
+@lru_cache(maxsize=None)
+def solve_t_d(d: int) -> float:
+    """Root t_d of r(t) = 1/(2d), computed once per dimension by bisection:
+    r is strictly decreasing with r(1) = 1 > 1/(2d), so [1, T] brackets the
+    root once r(T) < 1/(2d)."""
+    target = 1.0 / (2 * check_dimension(d))
     lo, hi = 1.0, 2.0
     while r_of_t(hi) >= target:
         hi *= 2
@@ -30,14 +29,6 @@ def _solve_t(d: int) -> float:
     return 0.5 * (lo + hi)
 
 
-@lru_cache(maxsize=None)
-def solve_t_d(d: int) -> float:
-    """Root t_d of r(t) = 1/(2d), computed once per dimension."""
-    if not isinstance(d, int) or d < 1:
-        raise DomainError(f"d must be an integer >= 1, got {d!r}")
-    return _solve_t(d)
-
-
 def curve_x(d: int, y: float) -> float:
     """The polygonal uniqueness boundary x(d, y) solving a(d, x, y)/b(y) = t_d."""
     t = solve_t_d(d)
@@ -46,21 +37,6 @@ def curve_x(d: int, y: float) -> float:
     if y <= -1:
         return -(t / (2 * d)) * (abs(y) + 1)
     return -(d * (y + 1) + t) / d
-
-
-@dataclass(frozen=True)
-class UniquenessCurve:
-    """The boundary curve of the Dobrushin uniqueness region for one dimension."""
-
-    d: int
-    t_d: float
-
-    @classmethod
-    def for_dimension(cls, d: int) -> "UniquenessCurve":
-        return cls(d=d, t_d=solve_t_d(d))
-
-    def __call__(self, y: float) -> float:
-        return curve_x(self.d, y)
 
 
 def in_dobrushin_region(d: int, x: float, y: float) -> bool:

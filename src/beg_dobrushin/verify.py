@@ -5,6 +5,7 @@ where the uniqueness condition fails."""
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -160,10 +161,16 @@ def _sweep_point(spec: SweepSpec, point: tuple[float, float]) -> dict[Check, Che
         the other sign) and witnesses go in index order (beta-major), as one
         cell at a time would record them.  cell(index) gives a failing index's
         (tail, pair); weights[i] counts the tails that index i of axis 1
-        stands for (each index counts once without weights)."""
+        stands for (each index counts once without weights).  A non-finite
+        worst slack (argmin finds a nan first) is a DomainError."""
         res = results[check]
         flat = slack.ravel()
         res.worst_slack = float(flat[flat.argmin()])
+        if not math.isfinite(res.worst_slack):
+            raise DomainError(
+                f"{check.value} slack is {res.worst_slack!r} at point {point}; "
+                "the point is too large in magnitude"
+            )
         if res.worst_slack < -SLACK_TOL:
             bad = np.argwhere(slack < -SLACK_TOL)
             res.fail_count = len(bad) if weights is None else sum(weights[i] for i in bad[:, 1].tolist())

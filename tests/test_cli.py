@@ -25,6 +25,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# a strip point so large that the Lemma 1 table overflows to nan
+NAN_SPEC = "d = 2\npoints = -2e307,1e307\nbeta_steps = 5\n"
+
+
 class TestRegionCommand:
     def test_inside_point(self, capsys):
         code, out, _ = run_cli(capsys, "region", "-d", "2", "-x", "-6", "-y", "0")
@@ -215,6 +219,20 @@ class TestVerifyCommand:
         assert f"{spec_path}:2" in err
         assert "'beta_stepz'" in err
 
+    def test_non_finite_slack_is_usage_error(self, capsys, tmp_path):
+        spec_path = tmp_path / "sweep.spec"
+        spec_path.write_text(NAN_SPEC)
+        report_path = tmp_path / "report.json"
+        code, out, err = run_cli(
+            capsys, "verify", "--spec", str(spec_path), "--checks", "TVvsLemma1",
+            "-o", str(report_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert "error: TVvsLemma1" in err
+        assert "(-2e+307, 1e+307)" in err
+        assert not report_path.exists()
+
     def test_non_finite_spec_value_is_usage_error(self, capsys, tmp_path):
         spec_path = tmp_path / "sweep.spec"
         spec_path.write_text("d = 2\npoints = nan,0\nbeta_steps = 3\n")
@@ -376,6 +394,51 @@ class TestBadValues:
         assert code == 2
         assert out == ""
         assert "too large" in err
+
+
+class TestSingleWriter:
+    """Each command's output is formatted in full before any of it is written."""
+
+    FAILING = {
+        "region": ("region", "-d", "2", "-x", "-6", "-y", "1e308"),
+        "curve": ("curve", "-d", "2", "--y-min", "1e308", "--y-max", "1e308", "--steps", "2"),
+        "bounds": ("bounds", "-d", "2", "-x", "-1e308", "-y", "1e307", "--beta", "1"),
+        "scan": ("scan", "-d", "2", "-x", "1e308", "-y", "-1e308"),
+        "verify": ("verify", "--spec", "{spec}", "--checks", "TVvsLemma1"),
+    }
+
+    @pytest.mark.parametrize("command", FAILING)
+    def test_failed_command_leaves_output_file_unchanged(self, capsys, tmp_path, command):
+        spec_path = tmp_path / "sweep.spec"
+        spec_path.write_text(NAN_SPEC)
+        target = tmp_path / "earlier.out"
+        target.write_bytes(b"earlier output\n")
+        argv = [arg.format(spec=spec_path) for arg in self.FAILING[command]]
+        code, out, err = run_cli(capsys, *argv, "-o", str(target))
+        assert code == 2
+        assert out == ""
+        assert "error: " in err
+        assert target.read_bytes() == b"earlier output\n"
+
+    SUCCEEDING = {
+        "region": ("region", "-d", "2", "-x", "-6", "-y", "0", "--format", "csv"),
+        "curve": ("curve", "-d", "2", "--y-min", "-2", "--y-max", "2", "--steps", "5"),
+        "bounds": ("bounds", "-d", "2", "-x", "-5", "-y", "2", "--beta", "0.5"),
+        "scan": ("scan", "-d", "2", "-x", "0", "-y", "-2", "--steps", "5", "--format", "json"),
+        "verify": ("verify", "-d", "1", "--points-per-region", "1", "--beta-steps", "3",
+                   "--checks", "AllvsTheorem1,DobrushinSatisfied"),
+    }
+
+    @pytest.mark.parametrize("command", SUCCEEDING)
+    def test_output_file_holds_the_stdout_bytes(self, capsys, tmp_path, command):
+        argv = self.SUCCEEDING[command]
+        code, out, err = run_cli(capsys, *argv)
+        assert out
+        target = tmp_path / "report.out"
+        target.write_text("an earlier, longer file " * 200)
+        assert run_cli(capsys, *argv, "-o", str(target)) == (code, "", err)
+        assert target.read_bytes() == out.encode()
+        assert run_cli(capsys, *argv, "-o", "-") == (code, out, err)
 
 
 class TestFloatOptionProperty:

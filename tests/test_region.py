@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from beg_dobrushin import (
     DomainError,
     ModelParams,
-    UniquenessCurve,
     blume_capel_xc,
     curve_x,
     exponents,
@@ -48,11 +47,6 @@ class TestCurve:
         lower = -(t / (2 * d)) * 2  # y <= -1 branch at y = -1
         middle_at_minus_one = -t / d  # |y| < 1 branch at y = -1
         assert abs(lower - middle_at_minus_one) <= 1e-12
-
-    def test_uniqueness_curve_object(self):
-        curve = UniquenessCurve.for_dimension(2)
-        assert curve.t_d == solve_t_d(2)
-        assert curve(0.3) == curve_x(2, 0.3)
 
     def test_blume_capel_equals_curve_at_zero(self):
         for d in range(1, 8):

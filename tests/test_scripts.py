@@ -1,0 +1,32 @@
+"""The scripts under scripts/, run as a user runs them."""
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_run_certification_writes_passing_reports(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = [sys.executable, str(ROOT / "scripts" / "run_certification.py"),
+            "--points-per-region", "1", "--out-dir", str(tmp_path)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    paths = sorted(tmp_path.iterdir())
+    assert [p.name for p in paths] == [f"certification_d{d}.json" for d in (1, 2, 3)]
+    for d, path in zip((1, 2, 3), paths):
+        report = json.loads(path.read_text(), parse_constant=reject)
+        assert report["meta"]["d"] == d
+        assert len(report["meta"]["points"]) == 3
+        assert report["checks"]
+        assert all(check["pass"] for check in report["checks"])
+        rev = report["meta"]["git_rev"]
+        assert rev is None or re.fullmatch("[0-9a-f]{40}", rev)

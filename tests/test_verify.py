@@ -140,6 +140,17 @@ class TestRunSweep:
         report = run_sweep(spec)
         assert report.all_passed
 
+    def test_non_finite_slack_raises(self):
+        # the Lemma 1 table overflows to nan at a point this large
+        spec = small_spec(
+            points=((-2e307, 1e307),),
+            beta_grid=log_beta_grid(1e-3, 50, 5),
+            checks=frozenset({Check.TV_VS_LEMMA1}),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainError, match=r"TVvsLemma1 slack is nan at point \(-2e\+307"):
+                run_sweep(spec)
+
     def test_deterministic_serialization(self):
         spec = small_spec(checks=ALL_CHECKS)
         first = run_sweep(spec).to_json()
