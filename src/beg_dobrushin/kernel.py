@@ -6,6 +6,8 @@ bounds of a strip point.
 Tables have shape (len(betas), len(classes(d).tails), len(PAIR_ORDER)).  Each
 beta slice is computed with the same floating-point operations, in the same
 order, as a single-beta evaluation, so batching never changes a value.
+Overflow to inf or nan raises no numpy warning here: the callers turn a
+non-finite result into one DomainError.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bounds
+from .errors import DomainError
 from .model import SubRegion
 
 # Unordered boundary pairs (sigma_1, sigma_1~) with sigma_1 != sigma_1~,
@@ -79,23 +82,24 @@ def tv_table(d: int, x: float, y: float, betas: np.ndarray) -> np.ndarray:
     as (w_-1 + w_0) + w_+1 and the TV as (|D_-1| + |D_0|) + |D_+1|, the order
     a length-3 numpy sum uses.
     """
-    k, n = _tail_stats(d)
-    b = np.asarray(betas, dtype=np.float64)[:, None]
-    dists = {}
-    for s1 in (-1, 0, 1):
-        coef = 2 * d * x + y * (k + s1 * s1)
-        s = n + s1
-        e_minus = b * (coef - s)
-        e_plus = b * (coef + s)
-        top = np.maximum(np.maximum(e_minus, 0.0), e_plus)
-        w = (np.exp(e_minus - top), np.exp(-top), np.exp(e_plus - top))
-        z = (w[0] + w[1]) + w[2]
-        dists[s1] = [plane / z for plane in w]
-    out = np.empty((len(b), len(k), len(PAIR_ORDER)))
-    for j, (p, q) in enumerate(PAIR_ORDER):
-        delta = [np.abs(u - v) for u, v in zip(dists[p], dists[q])]
-        np.multiply(0.5, (delta[0] + delta[1]) + delta[2], out=out[:, :, j])
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        k, n = _tail_stats(d)
+        b = np.asarray(betas, dtype=np.float64)[:, None]
+        dists = {}
+        for s1 in (-1, 0, 1):
+            coef = 2 * d * x + y * (k + s1 * s1)
+            s = n + s1
+            e_minus = b * (coef - s)
+            e_plus = b * (coef + s)
+            top = np.maximum(np.maximum(e_minus, 0.0), e_plus)
+            w = (np.exp(e_minus - top), np.exp(-top), np.exp(e_plus - top))
+            z = (w[0] + w[1]) + w[2]
+            dists[s1] = [plane / z for plane in w]
+        out = np.empty((len(b), len(k), len(PAIR_ORDER)))
+        for j, (p, q) in enumerate(PAIR_ORDER):
+            delta = [np.abs(u - v) for u, v in zip(dists[p], dists[q])]
+            np.multiply(0.5, (delta[0] + delta[1]) + delta[2], out=out[:, :, j])
+        return out
 
 
 # sigma_1, sigma_1~^2 - sigma_1^2 and sigma_1~ - sigma_1 of each PAIR_ORDER pair
@@ -126,27 +130,28 @@ def lemma1_table(d: int, x: float, y: float, betas: np.ndarray) -> np.ndarray:
     beta alone; they are taken in one pass with math.expm1, as the scalar
     bound does.
     """
-    sig2, s1_n = _pair_stats(d)
-    b = np.asarray(betas, dtype=np.float64)[:, None]
-    # (betas, pairs) columns: |g|, the psi exponent's pair term and e_inner
-    # for s = -1, +1
-    g = np.abs(b * _STEP)
-    e_pair = b * y * _DSQ
-    e_inner = (e_pair + -b * _STEP, e_pair + b * _STEP)
-    neg = np.stack((-2 * g, -np.abs(e_inner[0]), -np.abs(e_inner[1])))
-    factors = np.array([-math.expm1(v) for v in neg.ravel().tolist()]).reshape(neg.shape)
-    f_psi, f_minus, f_plus = factors[:, :, None, :]
-    b = b[:, :, None]
-    e_prefix = b * (2 * d * x + y * sig2)
-    e_psi = b * (4 * d * x + 2 * y * sig2) + e_pair[:, None, :]
-    out = np.exp(e_psi + g[:, None, :])
-    out *= f_psi
-    for s, e, f in ((-b, e_inner[0], f_minus), (b, e_inner[1], f_plus)):
-        # |exp(e) - 1| = exp(max(e, 0)) * (1 - exp(-|e|))
-        term = np.exp(e_prefix + s * s1_n + np.maximum(e, 0.0)[:, None, :])
-        term *= f
-        out += term
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        sig2, s1_n = _pair_stats(d)
+        b = np.asarray(betas, dtype=np.float64)[:, None]
+        # (betas, pairs) columns: |g|, the psi exponent's pair term and e_inner
+        # for s = -1, +1
+        g = np.abs(b * _STEP)
+        e_pair = b * y * _DSQ
+        e_inner = (e_pair + -b * _STEP, e_pair + b * _STEP)
+        neg = np.stack((-2 * g, -np.abs(e_inner[0]), -np.abs(e_inner[1])))
+        factors = np.array([-math.expm1(v) for v in neg.ravel().tolist()]).reshape(neg.shape)
+        f_psi, f_minus, f_plus = factors[:, :, None, :]
+        b = b[:, :, None]
+        e_prefix = b * (2 * d * x + y * sig2)
+        e_psi = b * (4 * d * x + 2 * y * sig2) + e_pair[:, None, :]
+        out = np.exp(e_psi + g[:, None, :])
+        out *= f_psi
+        for s, e, f in ((-b, e_inner[0], f_minus), (b, e_inner[1], f_plus)):
+            # |exp(e) - 1| = exp(max(e, 0)) * (1 - exp(-|e|))
+            term = np.exp(e_prefix + s * s1_n + np.maximum(e, 0.0)[:, None, :])
+            term *= f
+            out += term
+        return out
 
 
 class CaseBounds(NamedTuple):
@@ -170,14 +175,15 @@ def case_bounds(d: int, x: float, y: float, betas: np.ndarray) -> CaseBounds:
     sub = bounds.require_sub_region(x, y)
     ep = bounds.band_exponents(sub, d, x, y)
     b = np.asarray(betas, dtype=np.float64)
-    if sub is SubRegion.C:
-        lemma2 = _decay(4.0, b * (2 * d * x + y + 1), -2 * b)
-        lemma3 = _decay(3.0, 2 * d * b * x, b * (y - 1))
-    else:
-        e = b * (2 * d * x + 2 * d * (y + 1))
-        lemma2 = _decay(4.0, e, -2 * b)
-        lemma3 = _decay(3.0, e, -b * (y + 1) if sub is SubRegion.A else -2 * b)
-    return CaseBounds(lemma2, lemma3, _decay(4.0, -b * ep.a, -b * ep.b), bounds.r_of_t(ep.a / ep.b))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if sub is SubRegion.C:
+            lemma2 = _decay(4.0, b * (2 * d * x + y + 1), -2 * b)
+            lemma3 = _decay(3.0, 2 * d * b * x, b * (y - 1))
+        else:
+            e = b * (2 * d * x + 2 * d * (y + 1))
+            lemma2 = _decay(4.0, e, -2 * b)
+            lemma3 = _decay(3.0, e, -b * (y + 1) if sub is SubRegion.A else -2 * b)
+        return CaseBounds(lemma2, lemma3, _decay(4.0, -b * ep.a, -b * ep.b), bounds.r_of_t(ep.a / ep.b))
 
 
 def _decay(c: float, e: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -193,11 +199,28 @@ def first_max(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return flat[np.arange(len(flat)), at], at // table.shape[2], at % table.shape[2]
 
 
+def block_betas(d: int) -> int:
+    """Betas per max_tv block: as many as fit _BLOCK_CELLS (beta, class)
+    cells, and at least one."""
+    return max(1, _BLOCK_CELLS // len(classes(d).tails))
+
+
+def finite_tv(tv: float, d: int, x: float, y: float, beta: float) -> float:
+    """A max TV read from max_tv, or DomainError naming the point if it
+    overflowed to nan."""
+    if not math.isfinite(tv):
+        raise DomainError(
+            f"max TV is {tv!r} at beta {beta!r} for point {(x, y)} (d = {d}); "
+            "the point is too large in magnitude"
+        )
+    return tv
+
+
 def max_tv(d: int, x: float, y: float, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """first_max of tv_table over the whole beta grid, evaluated in blocks of
-    at most _BLOCK_CELLS (beta, class) cells."""
+    block_betas(d) betas."""
     betas = np.asarray(betas, dtype=np.float64)
-    step = max(1, _BLOCK_CELLS // len(classes(d).tails))
+    step = block_betas(d)
     blocks = [betas[i : i + step] for i in range(0, len(betas), step)] or [betas]
     parts = [first_max(tv_table(d, x, y, block)) for block in blocks]
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))

@@ -89,13 +89,15 @@ def exact_max_tv(params: ModelParams) -> DobrushinReport:
     their d(2d+1) (k, #plus) classes, for any d, and the three unordered pairs
     of distinguished-neighbor values; by translation and rotation symmetry this
     is the full content of the single-site condition.  The reported argmax is
-    the first maximizer in balanced-ternary (tail, pair) order.
+    the first maximizer in balanced-ternary (tail, pair) order.  Raises
+    DomainError when the TV overflows to nan (the point is too large in
+    magnitude).
     """
     d = params.d
     top, tail_i, pair_i = kernel.max_tv(d, params.x, params.y, np.array([params.beta]))
+    max_tv = kernel.finite_tv(float(top[0]), d, params.x, params.y, params.beta)
     s1, s1_tilde = PAIR_ORDER[int(pair_i[0])]
     nb = NeighborConfig((s1, *(int(v) for v in kernel.classes(d).tails[int(tail_i[0])])))
-    max_tv = float(top[0])
     return DobrushinReport(
         max_tv=max_tv,
         argmax_pair=(nb, s1_tilde),

@@ -16,7 +16,6 @@ from . import kernel
 from .errors import DomainError
 from .kernel import PAIR_ORDER
 from .model import ModelParams, SubRegion, check_dimension, check_finite, classify_region
-from .specification import exact_max_tv
 
 SLACK_TOL = 1e-12
 MAX_WITNESSES = 100
@@ -241,7 +240,14 @@ def find_failure_beta(
 
     The condition is evaluated on a geometric grid of n_grid betas at once;
     the first failing grid beta is then refined by bisection from the grid
-    beta before it.  The grid needs n_grid >= 2 and 0 < beta_min < beta_max.
+    beta before it.  The bisection is batched: each round evaluates, in one
+    kernel block, every midpoint the next levels could probe (the whole
+    subtree of brackets), then walks those levels.  Each midpoint is formed
+    as in a one-probe-per-step loop and kernel values do not depend on
+    batching, so the result is that loop's, bit for bit.  The grid needs
+    n_grid >= 2 and 0 < beta_min < beta_max.  Raises DomainError if a TV
+    value the search reads is not finite (the point is too large in
+    magnitude).
     """
     # the grid lies between its endpoints, so checking them checks it all
     ModelParams(x=x, y=y, beta=beta_min, d=d)
@@ -252,23 +258,37 @@ def find_failure_beta(
         raise DomainError(f"need 0 < beta_min < beta_max, got beta_min={beta_min}, beta_max={beta_max}")
     threshold = 1.0 / (2 * d)
 
-    def fails(beta: float) -> bool:
-        return exact_max_tv(ModelParams(x=x, y=y, beta=beta, d=d)).max_tv >= threshold
-
     grid = np.geomspace(beta_min, beta_max, n_grid)
-    failing = np.flatnonzero(kernel.max_tv(d, x, y, grid)[0] >= threshold)
-    if not len(failing):
+    top = kernel.max_tv(d, x, y, grid)[0]
+    # the grid is read in order up to its first failing or non-finite value
+    stop = np.flatnonzero(~(top < threshold))
+    if not len(stop):
         return None
-    i = int(failing[0])
+    i = int(stop[0])
+    kernel.finite_tv(float(top[i]), d, x, y, float(grid[i]))
     if i == 0:
         return float(grid[0])
     lo, hi = float(grid[i - 1]), float(grid[i])
+    # levels per round: the largest L whose 2^L - 1 midpoints fit one block
+    levels = (kernel.block_betas(d) + 1).bit_length() - 1
     while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if fails(mid):
-            hi = mid
-        else:
-            lo = mid
+        # midpoints of the depth-`levels` bracket tree in heap order: node j's
+        # children are 2j + 1 (its bracket's lower half, taken when mid fails)
+        # and 2j + 2 (the upper half)
+        brackets, mids = [(lo, hi)], []
+        for j in range(2**levels - 1):
+            a, b = brackets[j]
+            mids.append(0.5 * (a + b))
+            brackets += [(a, mids[j]), (mids[j], b)]
+        tv = kernel.max_tv(d, x, y, np.array(mids))[0].tolist()
+        j = 0
+        for _ in range(levels):
+            if not hi - lo > 1e-6:
+                break
+            if kernel.finite_tv(tv[j], d, x, y, mids[j]) >= threshold:
+                hi, j = mids[j], 2 * j + 1
+            else:
+                lo, j = mids[j], 2 * j + 2
     return hi
 
 

@@ -463,6 +463,26 @@ class TestFloatOptionProperty:
             assert "argument -x: expected a finite number" in err.getvalue()
 
 
+class TestOverflowMessage:
+    def test_scan_overflow_prints_only_the_error_line(self, tmp_path):
+        # numpy warns once per code location, so the first and a second call
+        # in one process would differ if the kernel let numpy warn
+        src = str(Path(beg_dobrushin.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONWARNINGS", None)
+        script = (
+            "from beg_dobrushin.cli import main\n"
+            "argv = ['scan', '-d', '2', '-x', '1e308', '-y', '-1e308']\n"
+            "assert (main(argv), main(argv)) == (2, 2)\n"
+        )
+        argv = [sys.executable, "-W", "default", "-c", script]
+        done = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == ""
+        line = "error: result nan is not finite; an input is too large in magnitude\n"
+        assert done.stderr == line * 2
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_runs_the_cli(self, tmp_path):
         src = str(Path(beg_dobrushin.__file__).resolve().parent.parent)

@@ -19,7 +19,7 @@ from beg_dobrushin import (
     run_sweep,
     total_variation,
 )
-from beg_dobrushin import kernel
+from beg_dobrushin import kernel, specification
 from beg_dobrushin.kernel import PAIR_ORDER, CaseBounds
 from beg_dobrushin.model import SubRegion, classify_region
 from beg_dobrushin.verify import (
@@ -343,7 +343,7 @@ class TestFindFailureBeta:
         # frozen regression value from the scan + bisection refinement
         assert beta == pytest.approx(0.5359094412565923, abs=1e-4)
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
     def test_matches_sequential_grid(self, d):
         rng = random.Random(300 + d)
         points = [(0.0, -2.0)] + [(rng.uniform(-4.0, 0.8), rng.uniform(-3.0, 3.0)) for _ in range(8)]
@@ -353,6 +353,74 @@ class TestFindFailureBeta:
             assert beta == sequential_failure_beta(d, x, y), (x, y)
             found += beta is not None
         assert 0 < found < len(points)
+
+    @pytest.mark.parametrize(
+        "d, x, y, grid",
+        [
+            # a coarse non-default grid
+            (2, 0.3, -2.0, {"beta_min": 0.05, "beta_max": 20.0, "n_grid": 7}),
+            (3, 0.1, -2.5, {"beta_min": 0.01, "beta_max": 5.0, "n_grid": 33}),
+            # the first grid beta already fails: no bisection
+            (2, 0.0, -2.0, {"beta_min": 1.0, "beta_max": 3.0, "n_grid": 5}),
+            # grid steps of 1e-7, so the starting bracket is already refined
+            (2, 0.0, -2.0, {"beta_min": 0.5359, "beta_max": 0.5360, "n_grid": 1001}),
+            # one bracket from 1e-3 to 100: about 27 levels, several rounds
+            (1, 0.3, -2.0, {"n_grid": 2}),
+            (2, 0.0, -2.0, {"n_grid": 2}),
+            (4, 0.3, -2.0, {"n_grid": 2}),
+            # 595 classes: one beta per block, one level per round
+            (17, 0.0, -2.0, {}),
+        ],
+    )
+    def test_matches_sequential_edge_cases(self, d, x, y, grid):
+        beta = find_failure_beta(d, x, y, **grid)
+        assert beta is not None
+        assert beta == sequential_failure_beta(d, x, y, **grid)
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name):
+        """Wrap module.name so each call appends its arguments to the
+        returned list."""
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_concluding_remark_point_kernel_calls(self, monkeypatch):
+        # the grid stage and 16 bisection levels in rounds of 5: at most 5
+        # kernel calls, and no one-beta exact_max_tv probe
+        want = sequential_failure_beta(2, 0.0, -2.0)
+        kernel_calls = self.count_calls(monkeypatch, kernel, "max_tv")
+        probes = self.count_calls(monkeypatch, specification, "exact_max_tv")
+        assert find_failure_beta(2, 0.0, -2.0) == want
+        assert len(kernel_calls) <= 5
+        assert probes == []
+
+    @pytest.mark.parametrize("d, levels", [(1, 7), (2, 5), (3, 4), (4, 3), (6, 2), (17, 1)])
+    def test_round_is_one_full_block(self, monkeypatch, d, levels):
+        # each bisection round evaluates the 2^L - 1 midpoints of L levels,
+        # with L the largest such that they fit one kernel block
+        assert 2**levels - 1 <= kernel.block_betas(d) < 2 ** (levels + 1) - 1
+        kernel_calls = self.count_calls(monkeypatch, kernel, "max_tv")
+        blocks = self.count_calls(monkeypatch, kernel, "tv_table")
+        find_failure_beta(d, 0.0, -2.0)
+        rounds = [len(betas) for *_, betas in kernel_calls[1:]]
+        assert rounds and set(rounds) == {2**levels - 1}
+        assert len(blocks) == len(kernel_calls) - 1 + math.ceil(120 / kernel.block_betas(d))
+
+    @pytest.mark.parametrize("x, y", [(1e308, -1e308), (-1e308, 5e307)])
+    def test_non_finite_tv_is_domain_error(self, x, y):
+        # nan >= threshold is False, which must not read as "holds everywhere"
+        with pytest.raises(DomainError, match="too large in magnitude") as err:
+            find_failure_beta(2, x, y)
+        assert repr((x, y)) in str(err.value)
+        with pytest.raises(DomainError, match="too large in magnitude"):
+            exact_max_tv(ModelParams(x=x, y=y, beta=1.0, d=2))
 
     def test_rejects_non_finite_input(self):
         with pytest.raises(DomainError):
