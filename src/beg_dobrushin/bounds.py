@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .model import ModelParams, NeighborConfig, SubRegion, check_spin, classify_region
+from .model import STRIP_BANDS, ModelParams, NeighborConfig, SubRegion, check_spin, classify_region
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,7 @@ class ExponentPair:
 def require_sub_region(x: float, y: float) -> SubRegion:
     """Sub-region (A, B or C) of a point, or DomainError if outside the strip."""
     sub = classify_region(x, y).sub
-    if sub not in (SubRegion.A, SubRegion.B, SubRegion.C):
+    if sub not in STRIP_BANDS:
         raise DomainError(f"point (x={x}, y={y}) is outside A|B|C")
     return sub
 

@@ -111,14 +111,15 @@ def cmd_scan(args) -> tuple[str, int]:
 
 
 def parse_spec_file(path: str) -> dict:
-    """Flat key = value spec document with keys from SPEC_KEYS; '#' starts a
-    comment."""
+    """Flat key = value spec document with keys from SPEC_KEYS, each at most
+    once; '#' starts a comment."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: not a text file ({exc.reason})") from None
     values: dict[str, str] = {}
+    lines_of: dict[str, int] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -130,7 +131,9 @@ def parse_spec_file(path: str) -> dict:
             raise DomainError(
                 f"{path}:{lineno}: unknown key {key!r}; valid keys: {', '.join(SPEC_KEYS)}"
             )
-        values[key] = value
+        if key in values:
+            raise DomainError(f"{path}:{lineno}: key {key!r} is already set on line {lines_of[key]}")
+        values[key], lines_of[key] = value, lineno
     return values
 
 
@@ -138,8 +141,8 @@ def _cast(cast, text: str, name: str):
     """cast(text), with a DomainError naming the key or option on failure."""
     try:
         return cast(text)
-    except ValueError:
-        kind = "an integer" if cast is int else "a number"
+    except (ValueError, argparse.ArgumentTypeError):
+        kind = "an integer" if cast is int else "a finite number"
         raise DomainError(f"{name}: expected {kind}, got {text!r}") from None
 
 
@@ -166,8 +169,8 @@ def _spec_from_args(args) -> verify.SweepSpec:
         return default
 
     d = pick(args.d, "d", int, 2)
-    beta_min = pick(args.beta_min, "beta_min", float, 1e-3)
-    beta_max = pick(args.beta_max, "beta_max", float, 50.0)
+    beta_min = pick(args.beta_min, "beta_min", _finite_float, 1e-3)
+    beta_max = pick(args.beta_max, "beta_max", _finite_float, 50.0)
     beta_steps = pick(args.beta_steps, "beta_steps", int, 40)
     seed = pick(args.seed, "seed", int, 2026)
     points_per_region = pick(args.points_per_region, "points_per_region", int, 20)
@@ -185,7 +188,7 @@ def _spec_from_args(args) -> verify.SweepSpec:
             coords = chunk.split(",")
             if len(coords) != 2:
                 raise DomainError(f"points: expected 'x,y' pairs separated by ';', got {chunk!r}")
-            points.append(tuple(_cast(float, c, "points") for c in coords))
+            points.append(tuple(_cast(_finite_float, c, "points") for c in coords))
         points = tuple(points)
     else:
         points = verify.sample_strip_points(points_per_region, seed=seed)

@@ -3,7 +3,7 @@ for every inverse temperature of a grid at once, the exact TV distances and
 the Lemma 1 bounds over (beta, class, boundary pair), and the per-beta case
 bounds of a strip point.
 
-Tables have shape (len(betas), len(classes(d).tails), len(PAIR_ORDER)).  Each
+Tables have shape (len(betas), len(classes(d).k), len(PAIR_ORDER)).  Each
 beta slice is computed with the same floating-point operations, in the same
 order, as a single-beta evaluation, so batching never changes a value.
 Overflow to inf or nan raises no numpy warning here: the callers turn a
@@ -34,9 +34,11 @@ _BLOCK_CELLS = 512
 
 
 class ClassTable(NamedTuple):
-    """One representative tail per (k, #plus) class and the class sizes."""
+    """The (k, #plus) classes of tails as statistics (read-only arrays shared
+    by every caller) and the class sizes."""
 
-    tails: np.ndarray  # int8, shape (d(2d+1), 2d-1)
+    k: np.ndarray  # float64, nonzero spins per class
+    n: np.ndarray  # float64, spin sum per class
     mult: tuple[int, ...]  # exact multiplicities, summing to 3^(2d-1)
 
 
@@ -45,32 +47,32 @@ def classes(d: int) -> ClassTable:
     """The d(2d+1) classes of tails (assignments of the 2d-1 non-distinguished
     neighbors) with k nonzero spins of which `plus` are +1.
 
-    The conditional depends on a tail only through k and its spin sum, so a
-    class representative carries the whole class.  Each class is represented by
-    its first member in balanced-ternary order (the -1s, then the 0s, then the
-    +1s), and the classes are sorted by that member, so the first maximizer over
-    (class, pair) is the first maximizer over (tail, pair) of the full
-    enumeration.  Multiplicities C(2d-1, k) C(k, plus) are exact Python ints.
+    The conditional depends on a tail only through k and its spin sum n, so
+    (k, n) stands for the whole class.  Classes are sorted by (plus - k, k): the
+    order of their first members in balanced-ternary order (class_tail: more
+    -1s first, then more 0s), so the first maximizer over (class, pair) is the
+    first maximizer over (tail, pair) of the full enumeration.  Multiplicities
+    C(2d-1, k) C(k, plus) are exact Python ints.
     """
     m = 2 * d - 1
-    reps = sorted(
-        ((-1,) * (k - plus) + (0,) * (m - k) + (1,) * plus, math.comb(m, k) * math.comb(k, plus))
-        for k in range(m + 1)
-        for plus in range(k + 1)
+    pairs = ((k, plus) for k in range(m + 1) for plus in range(k + 1))
+    order = sorted(pairs, key=lambda c: (c[1] - c[0], c[0]))
+    stats = (
+        np.array([k for k, _ in order], dtype=np.float64),
+        np.array([2 * plus - k for k, plus in order], dtype=np.float64),
     )
-    tails = np.array([t for t, _ in reps], dtype=np.int8).reshape(len(reps), m)
-    return ClassTable(tails, tuple(c for _, c in reps))
-
-
-@lru_cache(maxsize=None)
-def _tail_stats(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Number of nonzero spins and spin sum of each class representative
-    (read-only, shared by every caller)."""
-    tails = classes(d).tails
-    stats = (tails != 0).sum(axis=1).astype(np.float64), tails.sum(axis=1).astype(np.float64)
     for a in stats:
         a.flags.writeable = False
-    return stats
+    return ClassTable(*stats, tuple(math.comb(m, k) * math.comb(k, plus) for k, plus in order))
+
+
+def class_tail(d: int, i: int) -> tuple[int, ...]:
+    """The representative tail of class i: its first member in balanced-ternary
+    order, the -1s, then the 0s, then the +1s."""
+    table = classes(d)
+    k, n = int(table.k[i]), int(table.n[i])
+    plus = (k + n) // 2
+    return (-1,) * (k - plus) + (0,) * (2 * d - 1 - k) + (1,) * plus
 
 
 def tv_table(d: int, x: float, y: float, betas: np.ndarray) -> np.ndarray:
@@ -83,7 +85,7 @@ def tv_table(d: int, x: float, y: float, betas: np.ndarray) -> np.ndarray:
     a length-3 numpy sum uses.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        k, n = _tail_stats(d)
+        k, n, _ = classes(d)
         b = np.asarray(betas, dtype=np.float64)[:, None]
         dists = {}
         for s1 in (-1, 0, 1):
@@ -112,7 +114,7 @@ _STEP = np.array([st - s1 for s1, st in PAIR_ORDER], dtype=np.float64)
 def _pair_stats(d: int) -> tuple[np.ndarray, np.ndarray]:
     """sigma^2 = k + sigma_1^2 and sigma_1 + n per class and pair, shape
     (classes, pairs) (read-only, shared by every caller)."""
-    k, n = _tail_stats(d)
+    k, n, _ = classes(d)
     stats = k[:, None] + _S1 * _S1, _S1 + n[:, None]
     for a in stats:
         a.flags.writeable = False
@@ -202,7 +204,7 @@ def first_max(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def block_betas(d: int) -> int:
     """Betas per max_tv block: as many as fit _BLOCK_CELLS (beta, class)
     cells, and at least one."""
-    return max(1, _BLOCK_CELLS // len(classes(d).tails))
+    return max(1, _BLOCK_CELLS // len(classes(d).k))
 
 
 def finite_tv(tv: float, d: int, x: float, y: float, beta: float) -> float:

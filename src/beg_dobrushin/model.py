@@ -105,6 +105,10 @@ class SubRegion(Enum):
     OUTSIDE_U = "OutsideU"
 
 
+# The y-bands of the strip x + y + 1 < 0, x < 0, where the bounds hold.
+STRIP_BANDS = (SubRegion.A, SubRegion.B, SubRegion.C)
+
+
 @dataclass(frozen=True)
 class RegionLabel:
     major: MajorRegion

@@ -6,7 +6,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .bounds import r_of_t
-from .model import SubRegion, check_dimension, classify_region
+from .model import STRIP_BANDS, check_dimension, classify_region
 
 _BISECT_TOL = 1e-12
 
@@ -43,7 +43,7 @@ def in_dobrushin_region(d: int, x: float, y: float) -> bool:
     """True iff (x, y) lies in A|B|C and strictly left of the boundary curve,
     i.e. the optimized bound beats the 1/(2d) threshold for every temperature."""
     sub = classify_region(x, y).sub
-    if sub not in (SubRegion.A, SubRegion.B, SubRegion.C):
+    if sub not in STRIP_BANDS:
         return False
     return x < curve_x(d, y)
 

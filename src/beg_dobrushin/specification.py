@@ -97,7 +97,7 @@ def exact_max_tv(params: ModelParams) -> DobrushinReport:
     top, tail_i, pair_i = kernel.max_tv(d, params.x, params.y, np.array([params.beta]))
     max_tv = kernel.finite_tv(float(top[0]), d, params.x, params.y, params.beta)
     s1, s1_tilde = PAIR_ORDER[int(pair_i[0])]
-    nb = NeighborConfig((s1, *(int(v) for v in kernel.classes(d).tails[int(tail_i[0])])))
+    nb = NeighborConfig((s1, *kernel.class_tail(d, int(tail_i[0]))))
     return DobrushinReport(
         max_tv=max_tv,
         argmax_pair=(nb, s1_tilde),

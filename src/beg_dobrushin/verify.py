@@ -15,7 +15,7 @@ import numpy as np
 from . import kernel
 from .errors import DomainError
 from .kernel import PAIR_ORDER
-from .model import ModelParams, SubRegion, check_dimension, check_finite, classify_region
+from .model import STRIP_BANDS, ModelParams, check_dimension, check_finite, classify_region
 
 SLACK_TOL = 1e-12
 MAX_WITNESSES = 100
@@ -89,16 +89,6 @@ class CheckResult:
     def passed(self) -> bool:
         return self.worst_slack is None or self.worst_slack >= -SLACK_TOL
 
-    def merge(self, other: "CheckResult") -> None:
-        if other.worst_slack is not None:
-            if self.worst_slack is None or other.worst_slack < self.worst_slack:
-                self.worst_slack = other.worst_slack
-        self.fail_count += other.fail_count
-        for w in other.witnesses:
-            if len(self.witnesses) < MAX_WITNESSES:
-                self.witnesses.append(w)
-        self.unclassifiable.extend(other.unclassifiable)
-
 
 @dataclass
 class SweepReport:
@@ -135,53 +125,53 @@ class SweepReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent, allow_nan=False)
 
 
-def _sweep_point(spec: SweepSpec, point: tuple[float, float]) -> dict[Check, CheckResult]:
-    """Every requested check at one point, over the whole beta grid at once."""
+def _sweep_point(spec: SweepSpec, point: tuple[float, float], results: dict[Check, CheckResult]) -> None:
+    """Record every requested check at one point, over the whole beta grid at
+    once, into the sweep's results."""
     d = spec.d
     x, y = point
-    results = {c: CheckResult(name=c.value) for c in spec.checks}
-    in_strip = classify_region(x, y).sub in (SubRegion.A, SubRegion.B, SubRegion.C)
+    in_strip = classify_region(x, y).sub in STRIP_BANDS
     requested_bound_checks = spec.checks & BOUND_CHECKS
     if requested_bound_checks and not in_strip:
         for c in requested_bound_checks:
             results[c].unclassifiable.append(point)
     if not spec.beta_grid:
-        return results
-    tails, mult = kernel.classes(d)
+        return
+    mult = kernel.classes(d).mult
     betas = np.array(spec.beta_grid)
     tv = kernel.tv_table(d, x, y, betas)
 
-    def tail_of(i: int) -> tuple[int, ...]:
-        return tuple(int(v) for v in tails[i])
-
     def record(check: Check, slack: np.ndarray, cell, weights=None) -> None:
-        """Record a slack array whose leading axis is beta.  The worst slack is
-        its first minimum (by argmin: numpy's min may return a later zero of
-        the other sign) and witnesses go in index order (beta-major), as one
-        cell at a time would record them.  cell(index) gives a failing index's
-        (tail, pair); weights[i] counts the tails that index i of axis 1
-        stands for (each index counts once without weights).  A non-finite
-        worst slack (argmin finds a nan first) is a DomainError."""
+        """Record a slack array whose leading axis is beta, as one cell at a
+        time in index order (beta-major) and in point order would: the worst
+        slack moves only to a strictly smaller first minimum (by argmin: numpy's
+        min may return a later zero of the other sign), a failing index adds
+        weights[i] of its axis-1 index i to fail_count (1 without weights), and
+        witnesses are kept up to MAX_WITNESSES.  cell(index) gives a failing
+        index's (tail, pair).  A non-finite minimum (argmin finds a nan first)
+        is a DomainError."""
         res = results[check]
         flat = slack.ravel()
-        res.worst_slack = float(flat[flat.argmin()])
-        if not math.isfinite(res.worst_slack):
+        worst = float(flat[flat.argmin()])
+        if not math.isfinite(worst):
             raise DomainError(
-                f"{check.value} slack is {res.worst_slack!r} at point {point}; "
-                "the point is too large in magnitude"
+                f"{check.value} slack is {worst!r} at point {point}; the point is too large in magnitude"
             )
-        if res.worst_slack < -SLACK_TOL:
+        if res.worst_slack is None or worst < res.worst_slack:
+            res.worst_slack = worst
+        if worst < -SLACK_TOL:
             bad = np.argwhere(slack < -SLACK_TOL)
-            res.fail_count = len(bad) if weights is None else sum(weights[i] for i in bad[:, 1].tolist())
-            res.witnesses = [
+            res.fail_count += len(bad) if weights is None else sum(weights[i] for i in bad[:, 1].tolist())
+            room = MAX_WITNESSES - len(res.witnesses)
+            res.witnesses += [
                 Witness(point, spec.beta_grid[idx[0]], *cell(idx), float(slack[tuple(idx)]))
-                for idx in bad[:MAX_WITNESSES].tolist()
+                for idx in bad[:room].tolist()
             ]
 
     def table_cell(cols):
         """cell() of a (beta, class, pair) table whose pair axis holds the
         PAIR_ORDER pairs cols."""
-        return lambda idx: (tail_of(idx[1]), PAIR_ORDER[cols[idx[2]]])
+        return lambda idx: (kernel.class_tail(d, idx[1]), PAIR_ORDER[cols[idx[2]]])
 
     if requested_bound_checks and in_strip:
         l1 = kernel.lemma1_table(d, x, y, betas)
@@ -207,23 +197,22 @@ def _sweep_point(spec: SweepSpec, point: tuple[float, float]) -> dict[Check, Che
         record(
             Check.DOBRUSHIN_SATISFIED,
             1.0 / (2 * d) - top,
-            lambda idx: (tail_of(tail_i[idx[0]]), PAIR_ORDER[pair_i[idx[0]]]),
+            lambda idx: (kernel.class_tail(d, tail_i[idx[0]]), PAIR_ORDER[pair_i[idx[0]]]),
         )
-    return results
 
 
 def run_sweep(spec: SweepSpec) -> SweepReport:
     """Run every requested check at every (point, beta) grid cell.
 
-    Enumerates every tail class and boundary pair per cell; results merge in
-    point order.  The report's git_rev is None: this function cannot know
-    which source revision it runs, so a caller that does may set it.
+    Enumerates every tail class and boundary pair per cell; each point records
+    into the one result per check, in point order.  The report's git_rev is
+    None: this function cannot know which source revision it runs, so a
+    caller that does may set it.
     """
-    merged = {c: CheckResult(name=c.value) for c in spec.checks}
+    results = {c: CheckResult(name=c.value) for c in spec.checks}
     for point in spec.points:
-        for c, res in _sweep_point(spec, point).items():
-            merged[c].merge(res)
-    ordered = [merged[c] for c in sorted(spec.checks, key=lambda c: c.value)]
+        _sweep_point(spec, point, results)
+    ordered = [results[c] for c in sorted(spec.checks, key=lambda c: c.value)]
     return SweepReport(spec=spec, checks=ordered)
 
 

@@ -12,6 +12,7 @@ from beg_dobrushin import (
     exact_max_tv,
     total_variation,
 )
+from beg_dobrushin import kernel
 from beg_dobrushin.kernel import PAIR_ORDER
 from beg_dobrushin.model import MajorRegion
 from beg_dobrushin.verify import MAX_WITNESSES, SLACK_TOL, CheckResult
@@ -57,6 +58,27 @@ def full_tails(d: int) -> np.ndarray:
     idx = np.arange(3**m)
     powers = 3 ** np.arange(m - 1, -1, -1)
     return ((idx[:, None] // powers) % 3 - 1).astype(np.int8)
+
+
+@lru_cache(maxsize=None)
+def tuple_sorted_classes(d: int) -> list[tuple[tuple[int, ...], int]]:
+    """Oracle for kernel.classes: one representative tail per (k, #plus)
+    class, its first balanced-ternary member (-1s, then 0s, then +1s), with
+    the class's exact multiplicity, sorted by the tails as tuples."""
+    m = 2 * d - 1
+    return sorted(
+        ((-1,) * (k - plus) + (0,) * (m - k) + (1,) * plus, math.comb(m, k) * math.comb(k, plus))
+        for k in range(m + 1)
+        for plus in range(k + 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def class_tails(d: int) -> np.ndarray:
+    """kernel.class_tail of every class of kernel.classes(d), one int8 row
+    per class, for the per-cell references below."""
+    rows = [kernel.class_tail(d, i) for i in range(len(kernel.classes(d).k))]
+    return np.array(rows, dtype=np.int8).reshape(len(rows), 2 * d - 1)
 
 
 def class_loop_max_tv(params) -> float:

@@ -323,6 +323,10 @@ class TestBadValues:
             ("beta_steps = 0\n", "beta_steps"),
             ("points_per_region = 0\n", "points_per_region"),
             ("beta_min = 0\n", "beta_min"),
+            ("beta_max = inf\n", "beta_max:"),
+            ("beta_max = 1e400\n", "beta_max:"),
+            ("beta_min = nan\n", "beta_min:"),
+            ("points = nan,0\n", "points:"),
         ],
     )
     def test_spec_file_value(self, capsys, tmp_path, text, name):
@@ -332,6 +336,14 @@ class TestBadValues:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {name}")
+
+    def test_repeated_spec_key(self, capsys, tmp_path):
+        spec_path = tmp_path / "sweep.spec"
+        spec_path.write_text("d = 2\n# comment\nd = 3\n")
+        code, out, err = run_cli(capsys, "verify", "--spec", str(spec_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {spec_path}:3: key 'd'")
 
     def test_binary_spec_file(self, capsys, tmp_path):
         spec_path = tmp_path / "sweep.spec"

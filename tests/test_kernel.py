@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from beg_dobrushin import DomainError, ModelParams, bounds, kernel, model, verify
-from conftest import cell_lemma1_table, cell_tv_table, point_in_band
+from conftest import cell_lemma1_table, cell_tv_table, class_tails, point_in_band, tuple_sorted_classes
 
 
 def seeded_grid(d):
@@ -22,7 +22,7 @@ class TestBatchedTables:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_beta_slices_match_single_beta_bit_for_bit(self, d):
         points, betas = seeded_grid(d)
-        tails = kernel.classes(d).tails
+        tails = class_tails(d)
         for x, y in points:
             tv = kernel.tv_table(d, x, y, betas)
             l1 = kernel.lemma1_table(d, x, y, betas)
@@ -35,6 +35,27 @@ class TestBatchedTables:
     def test_empty_beta_grid(self):
         assert kernel.tv_table(2, -3.0, 0.5, np.empty(0)).shape == (0, 10, 3)
         assert kernel.lemma1_table(2, -3.0, 0.5, np.empty(0)).shape == (0, 10, 3)
+
+
+class TestClasses:
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_match_tuple_sorted_oracle(self, d):
+        table = kernel.classes(d)
+        reps = tuple_sorted_classes(d)
+        assert [kernel.class_tail(d, i) for i in range(len(table.k))] == [tail for tail, _ in reps]
+        assert table.k.tolist() == [sum(v != 0 for v in tail) for tail, _ in reps]
+        assert table.n.tolist() == [sum(tail) for tail, _ in reps]
+        assert table.mult == tuple(c for _, c in reps)
+
+    def test_large_dimension_holds_statistics_only(self):
+        table = kernel.classes(200)
+        assert table._fields == ("k", "n", "mult")
+        for a in (table.k, table.n):
+            assert a.shape == (200 * 401,)
+            assert a.dtype == np.float64
+            assert not a.flags.writeable
+        assert len(table.mult) == 200 * 401
+        assert sum(table.mult) == 3**399
 
 
 class TestMaxTv:
@@ -114,5 +135,5 @@ class TestSweepPointClassification:
         spec = verify.SweepSpec(
             d=2, points=(point,), beta_grid=verify.log_beta_grid(), checks=verify.ALL_CHECKS
         )
-        verify._sweep_point(spec, spec.points[0])
+        verify._sweep_point(spec, spec.points[0], {c: verify.CheckResult(c.value) for c in spec.checks})
         assert 1 <= len(calls) <= 2

@@ -218,7 +218,7 @@ class TestClassReduction:
     @pytest.mark.parametrize("d", [1, 8, 21, 50])
     def test_multiplicities_are_exact(self, d):
         table = classes(d)
-        assert len(table.mult) == len(table.tails) == d * (2 * d + 1)
+        assert len(table.mult) == len(table.k) == len(table.n) == d * (2 * d + 1)
         assert all(type(c) is int for c in table.mult)
         assert sum(table.mult) == 3 ** (2 * d - 1)
 

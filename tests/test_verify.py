@@ -33,6 +33,7 @@ from beg_dobrushin.verify import (
 from conftest import (
     cell_lemma1_table,
     cell_tv_table,
+    class_tails,
     full_tails,
     sequential_failure_beta,
     sequential_record,
@@ -171,13 +172,13 @@ class TestRunSweep:
         monkeypatch.setattr(
             kernel,
             "lemma1_table",
-            lambda d, x, y, betas: np.zeros((len(betas), len(kernel.classes(d).tails), 3)),
+            lambda d, x, y, betas: np.zeros((len(betas), len(kernel.classes(d).k), 3)),
         )
         spec = small_spec(d=d, checks=frozenset({Check.TV_VS_LEMMA1}))
         check = run_sweep(spec).checks[0]
         want = 0
         witnesses = []
-        tails = kernel.classes(d).tails
+        tails = class_tails(d)
         for x, y in spec.points:
             for beta in spec.beta_grid:
                 params = ModelParams(x=x, y=y, beta=beta, d=d)
@@ -202,7 +203,7 @@ def per_cell_results(spec):
     exact_max_tv."""
     cells = {c: [] for c in spec.checks}
     unclassifiable = []
-    tails, mult = kernel.classes(spec.d)
+    tails, mult = class_tails(spec.d), kernel.classes(spec.d).mult
     for point in spec.points:
         x, y = point
         in_strip = classify_region(x, y).sub in (SubRegion.A, SubRegion.B, SubRegion.C)
