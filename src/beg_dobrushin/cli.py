@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import bounds, kernel, region, verify
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 from .model import ModelParams, classify_region
 
 SPEC_KEYS = ("d", "points", "beta_min", "beta_max", "beta_steps", "checks", "seed", "points_per_region")
@@ -67,7 +67,7 @@ def cmd_region(args) -> tuple[str, int]:
 
 def cmd_curve(args) -> tuple[str, int]:
     if args.steps < 2:
-        raise DomainError("steps must be >= 2")
+        raise DomainError(f"--steps must be >= 2, got {args.steps}")
     ys = np.linspace(args.y_min, args.y_max, args.steps)
     rows = [{"y": float(y), "x_curve": region.curve_x(args.d, float(y))} for y in ys]
     return _format(rows, args.format), 0
@@ -95,18 +95,18 @@ def cmd_bounds(args) -> tuple[str, int]:
 
 def cmd_scan(args) -> tuple[str, int]:
     if args.steps < 2:
-        raise DomainError("steps must be >= 2")
+        raise DomainError(f"--steps must be >= 2, got {args.steps}")
     if args.log:
         betas = _log_grid(args.beta_min, args.beta_max, args.steps, ("--beta-min", "--beta-max"))
     else:
-        betas = np.linspace(args.beta_min, args.beta_max, args.steps)
+        betas = np.linspace(args.beta_min, args.beta_max, args.steps).tolist()
     # the grid lies between its endpoints, so checking them checks it all
     ModelParams(x=args.x, y=args.y, beta=args.beta_min, d=args.d)
     ModelParams(x=args.x, y=args.y, beta=args.beta_max, d=args.d)
     threshold = 1.0 / (2 * args.d)
     top = kernel.max_tv(args.d, args.x, args.y, betas)[0]
     rows = [{"beta": beta, "max_tv": t, "threshold": threshold, "satisfied": t < threshold}
-            for beta, t in zip(betas.tolist(), top.tolist())]
+            for beta, t in zip(betas, top.tolist())]
     return _format(rows, args.format), 0
 
 
@@ -146,13 +146,13 @@ def _cast(cast, text: str, name: str):
         raise DomainError(f"{name}: expected {kind}, got {text!r}") from None
 
 
-def _log_grid(beta_min: float, beta_max: float, steps: int, names: tuple[str, str]) -> np.ndarray:
+def _log_grid(beta_min: float, beta_max: float, steps: int, names: tuple[str, str]) -> tuple[float, ...]:
     """Geometric beta grid; names are the option or key names of its two
     endpoints, for the error raised when one is not positive."""
     for name, value in zip(names, (beta_min, beta_max)):
         if value <= 0:
             raise DomainError(f"{name} must be > 0 for a logarithmic beta grid, got {value!r}")
-    return np.geomspace(beta_min, beta_max, steps)
+    return verify.log_beta_grid(beta_min, beta_max, steps)
 
 
 def _spec_from_args(args) -> verify.SweepSpec:
@@ -209,8 +209,7 @@ def _spec_from_args(args) -> verify.SweepSpec:
                 raise DomainError(f"unknown check {name!r}; valid checks: {', '.join(by_value)}")
             checks.add(by_value[name])
 
-    grid = _log_grid(beta_min, beta_max, beta_steps, (source["beta_min"], source["beta_max"]))
-    beta_grid = tuple(float(b) for b in grid)
+    beta_grid = _log_grid(beta_min, beta_max, beta_steps, (source["beta_min"], source["beta_max"]))
     return verify.SweepSpec(d=d, points=points, beta_grid=beta_grid, checks=checks)
 
 
@@ -324,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             with open(args.output, "w") as out:
                 out.write(text)
-    except (DomainError, CapacityError, OSError) as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stderr.write("".join(summary))

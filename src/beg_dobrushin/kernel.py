@@ -48,22 +48,26 @@ def classes(d: int) -> ClassTable:
     neighbors) with k nonzero spins of which `plus` are +1.
 
     The conditional depends on a tail only through k and its spin sum n, so
-    (k, n) stands for the whole class.  Classes are sorted by (plus - k, k): the
-    order of their first members in balanced-ternary order (class_tail: more
-    -1s first, then more 0s), so the first maximizer over (class, pair) is the
-    first maximizer over (tail, pair) of the full enumeration.  Multiplicities
-    C(2d-1, k) C(k, plus) are exact Python ints.
+    (k, n) stands for the whole class.  Classes are in (plus - k, k) order, #minus
+    from 2d-1 down to 0 and then k up: the order of their first members in
+    balanced-ternary order (class_tail: more -1s first, then more 0s), so the
+    first maximizer over (class, pair) is the first maximizer over (tail, pair)
+    of the full enumeration.  Multiplicities C(2d-1, k) C(k, plus) are exact
+    Python ints, stepped along k from C(2d-1, minus).
     """
     m = 2 * d - 1
-    pairs = ((k, plus) for k in range(m + 1) for plus in range(k + 1))
-    order = sorted(pairs, key=lambda c: (c[1] - c[0], c[0]))
-    stats = (
-        np.array([k for k, _ in order], dtype=np.float64),
-        np.array([2 * plus - k for k, plus in order], dtype=np.float64),
-    )
+    ks, ns, mult = [], [], []
+    for minus in range(m, -1, -1):
+        c = math.comb(m, minus)
+        for k in range(minus, m + 1):
+            ks.append(k)
+            ns.append(k - 2 * minus)
+            mult.append(c)
+            c = c * (m - k) // (k + 1 - minus)
+    stats = (np.array(ks, dtype=np.float64), np.array(ns, dtype=np.float64))
     for a in stats:
         a.flags.writeable = False
-    return ClassTable(*stats, tuple(math.comb(m, k) * math.comb(k, plus) for k, plus in order))
+    return ClassTable(*stats, tuple(mult))
 
 
 def class_tail(d: int, i: int) -> tuple[int, ...]:

@@ -122,21 +122,23 @@ def pair_energy(si: int, sj: int, x: float, y: float) -> float:
     return -(si * sj + y * si * si * sj * sj + x * (si * si + sj * sj))
 
 
-def classify_region(x: float, y: float, tol: float = BOUNDARY_TOL) -> RegionLabel:
+def classify_region(x: float, y: float) -> RegionLabel:
     """Classify a coupling point into ferromagnetic / disordered / antiquadrupolar.
 
-    Points within `tol` of a defining hyperplane get the Boundary label.  Inside
-    the disordered region, the sub-label picks out the y-band (A: y >= 1,
+    Points within BOUNDARY_TOL of a defining hyperplane get the Boundary label.
+    Inside the disordered region, the sub-label picks out the y-band (A: y >= 1,
     B: |y| < 1, C: y <= -1) of the strip x + y + 1 < 0, x < 0; disordered points
-    outside that strip are tagged OutsideU.
+    outside that strip are tagged OutsideU.  Non-finite x or y is a DomainError.
     """
+    check_finite("x", x)
+    check_finite("y", y)
     p = 1 + 2 * x + y
     q = 1 + x + y
-    if p > tol and q > tol:
+    if p > BOUNDARY_TOL and q > BOUNDARY_TOL:
         return RegionLabel(MajorRegion.FERROMAGNETIC)
-    if p < -tol and x < -tol:
+    if p < -BOUNDARY_TOL and x < -BOUNDARY_TOL:
         sub = SubRegion.OUTSIDE_U
-        if q < -tol:  # x + y + 1 < 0 combined with x < 0 puts the point in A|B|C
+        if q < -BOUNDARY_TOL:  # x + y + 1 < 0 combined with x < 0 puts the point in A|B|C
             if y >= 1:
                 sub = SubRegion.A
             elif y <= -1:
@@ -144,7 +146,7 @@ def classify_region(x: float, y: float, tol: float = BOUNDARY_TOL) -> RegionLabe
             else:
                 sub = SubRegion.B
         return RegionLabel(MajorRegion.DISORDERED, sub)
-    if q < -tol and x > tol:
+    if q < -BOUNDARY_TOL and x > BOUNDARY_TOL:
         return RegionLabel(MajorRegion.ANTIQUADRUPOLAR, SubRegion.OUTSIDE_U)
     return RegionLabel(MajorRegion.BOUNDARY)
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .bounds import r_of_t
-from .model import STRIP_BANDS, check_dimension, classify_region
+from .model import STRIP_BANDS, check_dimension, check_finite, classify_region
 
 _BISECT_TOL = 1e-12
 
@@ -31,6 +31,7 @@ def solve_t_d(d: int) -> float:
 
 def curve_x(d: int, y: float) -> float:
     """The polygonal uniqueness boundary x(d, y) solving a(d, x, y)/b(y) = t_d."""
+    check_finite("y", y)
     t = solve_t_d(d)
     if y >= 1:
         return -((t + 2 * d) / (2 * d)) * (y + 1)

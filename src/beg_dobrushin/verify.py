@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -67,15 +67,6 @@ class Witness:
     pair: tuple[int, int] | None
     slack: float
 
-    def to_dict(self) -> dict:
-        return {
-            "point": list(self.point),
-            "beta": self.beta,
-            "tail": None if self.tail is None else list(self.tail),
-            "pair": None if self.pair is None else list(self.pair),
-            "slack": self.slack,
-        }
-
 
 @dataclass
 class CheckResult:
@@ -100,29 +91,14 @@ class SweepReport:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_dict(self) -> dict:
-        return {
-            "meta": {
-                "d": self.spec.d,
-                "grid": list(self.spec.beta_grid),
-                "points": [list(p) for p in self.spec.points],
-                "git_rev": self.git_rev,
-            },
-            "checks": [
-                {
-                    "name": c.name,
-                    "pass": c.passed,
-                    "worst_slack": c.worst_slack,
-                    "fail_count": c.fail_count,
-                    "unclassifiable": [list(p) for p in c.unclassifiable],
-                    "witnesses": [w.to_dict() for w in c.witnesses],
-                }
-                for c in self.checks
-            ],
-        }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent, allow_nan=False)
+    def to_json(self) -> str:
+        """The report as JSON: `meta` holds the sweep's grid and points, and
+        each check its dataclass fields (witnesses included) and its verdict
+        as `pass`."""
+        spec = self.spec
+        meta = {"d": spec.d, "grid": spec.beta_grid, "points": spec.points, "git_rev": self.git_rev}
+        checks = [{**asdict(c), "pass": c.passed} for c in self.checks]
+        return json.dumps({"meta": meta, "checks": checks}, sort_keys=True, indent=2, allow_nan=False)
 
 
 def _sweep_point(spec: SweepSpec, point: tuple[float, float], results: dict[Check, CheckResult]) -> None:
@@ -302,17 +278,12 @@ def log_beta_grid(beta_min: float = 1e-3, beta_max: float = 50.0, n: int = 40) -
     return tuple(float(b) for b in np.geomspace(beta_min, beta_max, n))
 
 
-def default_certification_spec(
-    d: int,
-    points_per_region: int = 20,
-    beta_grid: tuple[float, ...] | None = None,
-    seed: int = 2026,
-    checks: frozenset[Check] = BOUND_CHECKS,
-) -> SweepSpec:
-    """The standard domination-certification sweep for one dimension."""
+def default_certification_spec(d: int, points_per_region: int = 20, seed: int = 2026) -> SweepSpec:
+    """The standard domination-certification sweep for one dimension: the
+    bound checks on the default beta grid."""
     return SweepSpec(
         d=d,
         points=sample_strip_points(points_per_region, seed=seed),
-        beta_grid=beta_grid if beta_grid is not None else log_beta_grid(),
-        checks=checks,
+        beta_grid=log_beta_grid(),
+        checks=BOUND_CHECKS,
     )

@@ -83,7 +83,9 @@ def class_tails(d: int) -> np.ndarray:
 
 def class_loop_max_tv(params) -> float:
     """Scalar oracle: the largest conditional TV distance over one
-    representative tail per (k, #plus) class and every boundary pair."""
+    representative tail per (k, #plus) class and every boundary pair.  It
+    mirrors `benchmarks/oracles.py::class_max_tv`, which stays free of the
+    package; a change to one belongs in the other."""
     m = 2 * params.d - 1
     best = 0.0
     for k in range(m + 1):

@@ -362,6 +362,8 @@ class TestBadValues:
             (("verify", "--beta-steps", "0"), "--beta-steps"),
             (("verify", "--points-per-region", "-2"), "--points-per-region"),
             (("verify", "--points-per-region", "0"), "--points-per-region"),
+            (("curve", "-d", "2", "--y-min", "-1", "--y-max", "1", "--steps", "1"), "--steps must be >= 2, got 1"),
+            (("scan", "-d", "2", "-x", "0", "-y", "-2", "--steps", "1"), "--steps must be >= 2, got 1"),
         ],
     )
     def test_option_value(self, capsys, argv, name):

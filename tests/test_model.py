@@ -75,6 +75,13 @@ class TestClassifyRegion:
         assert classify_region(-4, 1).sub is SubRegion.A
         assert classify_region(-4, -1).sub is SubRegion.C
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError, match="x must be finite"):
+            classify_region(bad, 0.0)
+        with pytest.raises(DomainError, match="y must be finite"):
+            classify_region(-6.0, bad)
+
 
 class TestGroundPairs:
     def test_examples(self):

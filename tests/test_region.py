@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from beg_dobrushin import (
     r_of_t,
     solve_t_d,
 )
+from beg_dobrushin.bounds import require_sub_region
 
 from conftest import point_in_band
 
@@ -52,6 +55,11 @@ class TestCurve:
         for d in range(1, 8):
             assert blume_capel_xc(d) == curve_x(d, 0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError, match="y must be finite"):
+            curve_x(2, bad)
+
 
 class TestMembership:
     def test_examples(self):
@@ -61,6 +69,14 @@ class TestMembership:
         # inside the strip at y = 2 but right of the curve x(2, 2) ~ -7.045
         assert not in_dobrushin_region(2, -5, 2)
         assert in_dobrushin_region(2, -8, 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        for x, y in ((bad, 0.0), (-6.0, bad)):
+            with pytest.raises(DomainError, match="must be finite"):
+                in_dobrushin_region(2, x, y)
+            with pytest.raises(DomainError, match="must be finite"):
+                require_sub_region(x, y)
 
     def test_characterizations_agree(self, rng):
         # membership via the curve matches r(a/b) < 1/(2d) on the strip

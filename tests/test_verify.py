@@ -161,6 +161,20 @@ class TestRunSweep:
         assert set(parsed) == {"meta", "checks"}
         assert set(parsed["meta"]) == {"d", "grid", "points", "git_rev"}
 
+    def test_report_schema(self):
+        # the keys come from the dataclass fields, so a new field must change this test
+        spec = small_spec(points=((0.0, -2.0), (-6.0, 0.0)), beta_grid=(2.0, 20.0), checks=ALL_CHECKS)
+        parsed = json.loads(run_sweep(spec).to_json())
+        assert set(parsed) == {"meta", "checks"}
+        assert set(parsed["meta"]) == {"d", "grid", "points", "git_rev"}
+        witnesses = []
+        for check in parsed["checks"]:
+            assert set(check) == {"name", "pass", "worst_slack", "fail_count", "unclassifiable", "witnesses"}
+            witnesses += check["witnesses"]
+        assert witnesses
+        for witness in witnesses:
+            assert set(witness) == {"point", "beta", "tail", "pair", "slack"}
+
     def test_large_dimension_runs(self):
         spec = small_spec(d=8, points=((-5.0, 2.0),), checks=ALL_CHECKS)
         report = run_sweep(spec)
