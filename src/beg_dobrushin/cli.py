@@ -68,6 +68,12 @@ def cmd_region(args) -> tuple[str, int]:
 def cmd_curve(args) -> tuple[str, int]:
     if args.steps < 2:
         raise DomainError(f"--steps must be >= 2, got {args.steps}")
+    # linspace forms y_max - y_min, which overflows for far-apart endpoints
+    if not math.isfinite(args.y_max - args.y_min):
+        raise DomainError(
+            f"--y-min {args.y_min!r} and --y-max {args.y_max!r} are too far apart: "
+            "their difference is not a finite number"
+        )
     ys = np.linspace(args.y_min, args.y_max, args.steps)
     rows = [{"y": float(y), "x_curve": region.curve_x(args.d, float(y))} for y in ys]
     return _format(rows, args.format), 0
@@ -96,13 +102,16 @@ def cmd_bounds(args) -> tuple[str, int]:
 def cmd_scan(args) -> tuple[str, int]:
     if args.steps < 2:
         raise DomainError(f"--steps must be >= 2, got {args.steps}")
+    # the grid lies between its endpoints, so checking them checks it all;
+    # checking them first keeps a negative endpoint away from linspace
+    for name, beta in (("--beta-min", args.beta_min), ("--beta-max", args.beta_max)):
+        if beta < 0:
+            raise DomainError(f"{name} must be >= 0, got {beta!r}")
+        ModelParams(x=args.x, y=args.y, beta=beta, d=args.d)
     if args.log:
         betas = _log_grid(args.beta_min, args.beta_max, args.steps, ("--beta-min", "--beta-max"))
     else:
         betas = np.linspace(args.beta_min, args.beta_max, args.steps).tolist()
-    # the grid lies between its endpoints, so checking them checks it all
-    ModelParams(x=args.x, y=args.y, beta=args.beta_min, d=args.d)
-    ModelParams(x=args.x, y=args.y, beta=args.beta_max, d=args.d)
     threshold = 1.0 / (2 * args.d)
     top = kernel.max_tv(args.d, args.x, args.y, betas)[0]
     rows = [{"beta": beta, "max_tv": t, "threshold": threshold, "satisfied": t < threshold}

@@ -14,7 +14,7 @@ import numpy as np
 from . import kernel
 from .errors import CapacityError, DomainError
 from .kernel import PAIR_ORDER
-from .model import ModelParams, NeighborConfig, check_spin, pair_energy
+from .model import SPIN_VALUES, ModelParams, NeighborConfig, check_spin, pair_energy
 
 _NORM_TOL = 1e-12
 
@@ -131,29 +131,40 @@ def finite_volume_marginal(
     """Exact center-spin marginal of the finite-volume Gibbs distribution on a
     box_side x box_side box in Z^2 with a fully specified boundary ring.
 
-    `boundary` is either a single spin (uniform boundary) or a mapping from
-    ring sites to spins covering every site of `boundary_ring(box_side)`.
+    `boundary` is either a mapping from the sites of `boundary_ring(box_side)`,
+    every one and no other, to spins, or else one spin for the whole ring.
+    DomainError for a box_side that is not an int and for a bad boundary;
+    CapacityError for a box_side other than 2 or 3.
     """
     if params.d != 2:
         raise DomainError("finite-volume boxes are supported for d=2 only")
+    if not isinstance(box_side, int):
+        raise DomainError(f"box_side must be an integer, got {box_side!r}")
     if box_side not in (2, 3):
         raise CapacityError(f"box_side must be 2 or 3, got {box_side}")
     sites = _box_sites(box_side)
     ring = boundary_ring(box_side)
-    if isinstance(boundary, int):
-        check_spin(boundary)
-        bmap = {site: boundary for site in ring}
-    else:
+    if isinstance(boundary, Mapping):
         bmap = dict(boundary)
         missing = [site for site in ring if site not in bmap]
         if missing:
             raise DomainError(f"boundary assignment missing ring sites {missing}")
+        extra = [site for site in bmap if site not in ring]
+        if extra:
+            raise DomainError(f"boundary assignment has sites off the ring {extra}")
         for v in bmap.values():
             check_spin(v)
+    else:
+        bmap = dict.fromkeys(ring, check_spin(boundary))
 
+    # A bond's energy takes one of nine values: bond[i][j] is the energy of
+    # spins SPIN_VALUES[i], SPIN_VALUES[j], and configurations hold positions
+    # in SPIN_VALUES.  The sum adds the same floats in the same order as one
+    # pair_energy call per bond would.
+    bond = [[pair_energy(a, b, params.x, params.y) for b in SPIN_VALUES] for a in SPIN_VALUES]
     index = {site: i for i, site in enumerate(sites)}
     inner_pairs = []
-    edge_pairs = []  # (interior index, boundary spin)
+    edge_pairs = []  # (interior index, position of the boundary spin)
     for (i, j) in sites:
         for di, dj in ((1, 0), (0, 1), (-1, 0), (0, -1)):
             ni, nj = i + di, j + dj
@@ -161,22 +172,22 @@ def finite_volume_marginal(
                 if (di, dj) in ((1, 0), (0, 1)):  # count interior pairs once
                     inner_pairs.append((index[(i, j)], index[(ni, nj)]))
             else:
-                edge_pairs.append((index[(i, j)], bmap[(ni, nj)]))
+                edge_pairs.append((index[(i, j)], SPIN_VALUES.index(bmap[(ni, nj)])))
 
     center = index[((box_side - 1) // 2, (box_side - 1) // 2)]
     exps = []
     centers = []
-    for config in product((-1, 0, 1), repeat=len(sites)):
+    for config in product(range(3), repeat=len(sites)):
         energy = 0.0
         for a, b in inner_pairs:
-            energy += pair_energy(config[a], config[b], params.x, params.y)
+            energy += bond[config[a]][config[b]]
         for a, b in edge_pairs:
-            energy += pair_energy(config[a], b, params.x, params.y)
+            energy += bond[config[a]][b]
         exps.append(-params.beta * energy)
         centers.append(config[center])
     top = max(exps)
     sums = [0.0, 0.0, 0.0]
     for e, c in zip(exps, centers):
-        sums[c + 1] += math.exp(e - top)
-    z = sum(sums)
+        sums[c] += math.exp(e - top)
+    z = sums[0] + sums[1] + sums[2]  # not sum(), which compensates from Python 3.12 on
     return SpinDistribution(sums[0] / z, sums[1] / z, sums[2] / z)

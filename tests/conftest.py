@@ -100,6 +100,45 @@ def class_loop_max_tv(params) -> float:
     return best
 
 
+def brute_force_marginal(x, y, beta, box_side, ring) -> tuple[float, float, float]:
+    """Oracle for finite_volume_marginal: the law of the spin at site
+    ((box_side-1)//2, (box_side-1)//2), the centre of a 3x3 box, on the
+    box_side x box_side box {0..box_side-1}^2 with boundary spins `ring`
+    (keys (i, j) on the adjacent ring), from all 3^(box_side^2) box
+    configurations at once.  Each bond's energy comes straight from the
+    Hamiltonian -(s s' + y s^2 s'^2 + x (s^2 + s'^2)), and the three
+    weights are summed in log space.  It mirrors
+    `benchmarks/oracles.py::transfer_marginal`, which reaches the same
+    numbers by a row transfer matrix instead of enumeration."""
+    sites = [(i, j) for i in range(box_side) for j in range(box_side)]
+    n = len(sites)
+    powers = 3 ** np.arange(n - 1, -1, -1)
+    configs = (np.arange(3**n)[:, None] // powers) % 3 - 1
+    spin = {site: configs[:, k].astype(np.float64) for k, site in enumerate(sites)}
+
+    def bond(s, t):
+        return -(s * t + y * s * s * t * t + x * (s * s + t * t))
+
+    energy = np.zeros(3**n)
+    for i, j in sites:
+        for other in ((i + 1, j), (i, j + 1)):
+            if other in spin:
+                energy += bond(spin[(i, j)], spin[other])
+        for other in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+            if other in ring:
+                energy += bond(spin[(i, j)], ring[other])
+    log_w = -beta * energy
+    centre = configs[:, sites.index(((box_side - 1) // 2,) * 2)]
+    log_z = []
+    for c in (-1, 0, 1):
+        part = log_w[centre == c]
+        top = part.max()
+        log_z.append(top + np.log(np.exp(part - top).sum()))
+    top = max(log_z)
+    total = top + math.log(sum(math.exp(v - top) for v in log_z))
+    return tuple(math.exp(v - total) for v in log_z)
+
+
 def cell_tv_table(params, tails: np.ndarray) -> np.ndarray:
     """Per-cell reference for kernel.tv_table: TV distances at one beta, shape
     (len(tails), len(PAIR_ORDER)), for any set of tails."""

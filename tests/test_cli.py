@@ -372,6 +372,27 @@ class TestBadValues:
         assert out == ""
         assert err.startswith(f"error: {name}")
 
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (("curve", "-d", "2", "--y-min", "-1e308", "--y-max", "1e308", "--steps", "3"),
+             ("--y-min", "--y-max")),
+            (("scan", "-d", "2", "-x", "-6", "-y", "0", "--beta-min", "-1e308", "--beta-max", "1e308",
+              "--steps", "3"), ("--beta-min",)),
+        ],
+    )
+    def test_far_apart_grid_endpoints(self, tmp_path, argv, names):
+        # a subprocess, so that a numpy RuntimeWarning would reach stderr
+        src = str(Path(beg_dobrushin.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        command = [sys.executable, "-W", "default", "-m", "beg_dobrushin", *argv]
+        done = subprocess.run(command, env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith(f"error: {names[0]}")
+        assert all(name in done.stderr for name in names)
+        assert "RuntimeWarning" not in done.stderr
+
     def test_flag_overrides_bad_spec_value(self, capsys, tmp_path):
         spec_path = tmp_path / "sweep.spec"
         spec_path.write_text("beta_steps = 0\npoints_per_region = 1\n")

@@ -20,7 +20,8 @@ from beg_dobrushin import (
     total_variation,
 )
 from beg_dobrushin.kernel import PAIR_ORDER, classes
-from conftest import cell_tv_table, class_loop_max_tv, full_tails
+from beg_dobrushin.specification import boundary_ring
+from conftest import brute_force_marginal, cell_tv_table, class_loop_max_tv, full_tails
 
 spins = st.sampled_from((-1, 0, 1))
 
@@ -254,3 +255,46 @@ class TestFiniteVolumeMarginal:
             finite_volume_marginal(ModelParams(x=0, y=0, beta=1, d=2), 4, 0)
         with pytest.raises(DomainError):
             finite_volume_marginal(ModelParams(x=0, y=0, beta=1, d=2), 3, {(0, -1): 1})
+        params = ModelParams(x=0, y=0, beta=1, d=2)
+        with pytest.raises(DomainError, match="box_side must be an integer, got 3.0"):
+            finite_volume_marginal(params, 3.0, 0)
+        for spin in (2, 0.5, "1", None, [1]):
+            with pytest.raises(DomainError, match="spin must be one of"):
+                finite_volume_marginal(params, 2, spin)
+        ring = dict.fromkeys(boundary_ring(3), 1)
+        with pytest.raises(DomainError, match=r"off the ring \[\(1, 1\)\]"):
+            finite_volume_marginal(params, 3, {**ring, (1, 1): -1})
+        with pytest.raises(DomainError, match="spin must be one of"):
+            finite_volume_marginal(params, 3, {**ring, (0, -1): 2})
+        # an integral numpy scalar is a spin, alone or in a ring mapping
+        expected = finite_volume_marginal(params, 2, 1)
+        assert finite_volume_marginal(params, 2, np.int64(1)) == expected
+        assert finite_volume_marginal(params, 2, dict.fromkeys(boundary_ring(2), np.int64(1))) == expected
+
+    @pytest.mark.parametrize(
+        "side, x, y, beta, spins, expected",
+        [
+            (2, -2.5, 0.7, 1.7, [1, 0, -1, -1, 0, 1, 1, 1],
+             (2.486031146389224e-08, 0.9999992302134996, 7.449261891081429e-07)),
+            (3, 0.4, 1.5, 0.9, [-1, 0, 1] * 4,
+             (0.4999670860163536, 6.582796731962457e-05, 0.4999670860163267)),
+        ],
+    )
+    def test_pinned_floats(self, side, x, y, beta, spins, expected):
+        # exact floats of one pair_energy call per bond, summed in bond order
+        ring = dict(zip(boundary_ring(side), spins))
+        dist = finite_volume_marginal(ModelParams(x=x, y=y, beta=beta, d=2), side, ring)
+        assert dist.as_tuple() == expected
+
+    @pytest.mark.parametrize("side", [2, 3])
+    def test_matches_brute_force_oracle(self, side):
+        rng = random.Random(4100 + side)
+        points = [(-1.5, 0.5, 0.8), (0.4, 1.5, 3.0), (-6.2, 0.7, 1.1), (-0.3, -2.5, 2.2)]
+        sites = boundary_ring(side)
+        for x, y, beta in points:
+            rings = [dict.fromkeys(sites, s) for s in (-1, 0, 1)]
+            rings += [{site: rng.choice((-1, 0, 1)) for site in sites} for _ in range(2)]
+            for ring in rings:
+                dist = finite_volume_marginal(ModelParams(x=x, y=y, beta=beta, d=2), side, ring)
+                expected = brute_force_marginal(x, y, beta, side, ring)
+                assert dist.as_tuple() == pytest.approx(expected, abs=1e-12), (x, y, beta, ring)
