@@ -1,11 +1,15 @@
 """Closed-form bounds on the conditional TV distance: the per-configuration
 theta/psi decomposition, the two boundary-pair case bounds, the region-wide
-exponential bound and its temperature optimum r(t)."""
+exponential bound and its temperature optimum r(t), at one inverse
+temperature or, for the case bounds, over a whole beta grid."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import DomainError
 from .model import STRIP_BANDS, ModelParams, NeighborConfig, SubRegion, check_spin, classify_region
@@ -49,17 +53,46 @@ def exponents(params: ModelParams) -> ExponentPair:
     return band_exponents(require_sub_region(params.x, params.y), params.d, params.x, params.y)
 
 
+def _rate(y: float) -> float:
+    """Decay rate b(y) of the bounds: y+1 for y >= 1 (band A), |y|+1 for
+    y <= -1 (band C) and 2 in between (band B)."""
+    if y >= 1:
+        return y + 1
+    if y <= -1:
+        return abs(y) + 1
+    return 2.0
+
+
 def band_exponents(sub: SubRegion, d: int, x: float, y: float) -> ExponentPair:
     """exponents() for a point already classified into band `sub` of A|B|C."""
+    return ExponentPair(2 * d * abs(x if sub is SubRegion.C else x + y + 1), _rate(y))
+
+
+def _case_terms(sub: SubRegion, d: int, x: float, y: float, beta):
+    """(c, e, g) of the Lemma 2, Lemma 3 and Theorem 1 bounds, each
+    c*exp(e)*(1 - exp(g)), of a point in band `sub`, in that order.
+
+    beta is one float or a numpy array of them: the exponents are the same
+    IEEE operations either way, so each entry equals its one-beta value.
+    """
+    ep = band_exponents(sub, d, x, y)
+    g = -beta * ep.b  # Lemma 3 and Theorem 1 decay at the same rate b(y)
     if sub is SubRegion.C:
-        return ExponentPair(2 * d * abs(x), abs(y) + 1)
-    return ExponentPair(2 * d * abs(x + y + 1), y + 1 if sub is SubRegion.A else 2.0)
+        e2, e3 = beta * (2 * d * x + y + 1), 2 * d * beta * x
+    else:
+        e2 = e3 = beta * (2 * d * x + 2 * d * (y + 1))
+    return (4.0, e2, -2 * beta), (3.0, e3, g), (4.0, -beta * ep.a, g)
+
+
+def _point_terms(params: ModelParams):
+    """_case_terms at one parameter point; DomainError outside A|B|C."""
+    sub = require_sub_region(params.x, params.y)
+    return _case_terms(sub, params.d, params.x, params.y, params.beta)
 
 
 def theorem1_bound(params: ModelParams) -> float:
     """Region-wide bound 4*exp(-beta*a)*(1 - exp(-beta*b)) on the conditional TV."""
-    ep = exponents(params)
-    return _decay(4.0, -params.beta * ep.a, -params.beta * ep.b)
+    return _decay(*_point_terms(params)[2])
 
 
 def beta_critical(ep: ExponentPair) -> float:
@@ -135,24 +168,37 @@ def lemma1_bound(nb: NeighborConfig, sigma1_tilde: int, params: ModelParams) -> 
 
 def lemma2_bound(params: ModelParams) -> float:
     """Uniform TV bound over boundary pairs with |sigma_1| = |sigma_1~|."""
-    sub = require_sub_region(params.x, params.y)
-    beta, x, y, d = params.beta, params.x, params.y, params.d
-    if sub is SubRegion.C:
-        e = beta * (2 * d * x + y + 1)
-    else:
-        e = beta * (2 * d * x + 2 * d * (y + 1))
-    return _decay(4.0, e, -2 * beta)
+    return _decay(*_point_terms(params)[0])
 
 
 def lemma3_bound(params: ModelParams) -> float:
     """Uniform TV bound over boundary pairs with |sigma_1| != |sigma_1~|."""
-    sub = require_sub_region(params.x, params.y)
-    beta, x, y, d = params.beta, params.x, params.y, params.d
-    if sub is SubRegion.A:
-        return _decay(3.0, beta * (2 * d * x + 2 * d * (y + 1)), -beta * (y + 1))
-    if sub is SubRegion.B:
-        return _decay(3.0, beta * (2 * d * x + 2 * d * (y + 1)), -2 * beta)
-    return _decay(3.0, 2 * d * beta * x, beta * (y - 1))
+    return _decay(*_point_terms(params)[1])
+
+
+class CaseBounds(NamedTuple):
+    """The beta-dependent case bounds of one strip point over a beta grid."""
+
+    lemma2: np.ndarray  # lemma2_bound per beta
+    lemma3: np.ndarray  # lemma3_bound per beta
+    theorem1: np.ndarray  # theorem1_bound per beta
+    r: float  # r_of_t(a / b), free of beta
+
+
+def case_bounds(d: int, x: float, y: float, betas: np.ndarray) -> CaseBounds:
+    """Lemma 2, Lemma 3 and Theorem 1 bounds for every beta of a grid, and
+    r(a/b); bit-for-bit the scalar bounds.
+
+    The point is classified once and the exponents are formed for the whole
+    grid by _case_terms; only _decay, on math.exp and math.expm1, runs per
+    beta.  Raises DomainError outside A|B|C.
+    """
+    sub = require_sub_region(x, y)
+    ep = band_exponents(sub, d, x, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _case_terms(sub, d, x, y, np.asarray(betas, dtype=np.float64))
+    decays = [np.array([_decay(c, u, v) for u, v in zip(e.tolist(), g.tolist())]) for c, e, g in terms]
+    return CaseBounds(*decays, r_of_t(ep.a / ep.b))
 
 
 def _check_k(params: ModelParams, k: int) -> None:
@@ -162,24 +208,17 @@ def _check_k(params: ModelParams, k: int) -> None:
 
 def theta_sum_bound(params: ModelParams, k: int) -> float:
     """Bound on |theta_+1| + |theta_-1| for sigma_1 = 0, sigma_1~ = 1 and k
-    nonzero non-distinguished neighbors, by y-regime."""
+    nonzero non-distinguished neighbors, decaying at rate b(y)."""
     _check_k(params, k)
     beta, x, y, d = params.beta, params.x, params.y, params.d
-    if y >= 1:
-        return _decay(2.0, beta * (2 * d * x + (k + 1) * (y + 1)), -beta * (y + 1))
-    if y <= -1:
-        return _decay(2.0, beta * (2 * d * x + k * (y + 1)), beta * (y - 1))
-    return _decay(2.0, beta * (2 * d * x + (k + 1) * (y + 1)), -2 * beta)
+    # k(y+1) for y <= -1 and (k+1)(y+1) above: the larger of the two
+    tail = max(k * (y + 1), (k + 1) * (y + 1))
+    return _decay(2.0, beta * (2 * d * x + tail), -beta * _rate(y))
 
 
 def psi_bound(params: ModelParams, k: int) -> float:
     """Bound on |psi| for sigma_1 = 0, sigma_1~ = +-1 and k nonzero
-    non-distinguished neighbors, by y-regime."""
+    non-distinguished neighbors, decaying at rate b(y)."""
     _check_k(params, k)
     beta, x, y, d = params.beta, params.x, params.y, params.d
-    e = beta * (4 * d * x + (2 * k + 1) * y + 1)
-    if y >= 1:
-        return _decay(1.0, e, -beta * (y + 1))
-    if y <= -1:
-        return _decay(1.0, e, beta * (y - 1))
-    return _decay(1.0, e, -2 * beta)
+    return _decay(1.0, beta * (4 * d * x + (2 * k + 1) * y + 1), -beta * _rate(y))

@@ -1,7 +1,6 @@
 """Vectorized single-site kernel: the (k, #plus) classes of neighbor tails and,
 for every inverse temperature of a grid at once, the exact TV distances and
-the Lemma 1 bounds over (beta, class, boundary pair), and the per-beta case
-bounds of a strip point.
+the Lemma 1 bounds over (beta, class, boundary pair).
 
 Tables have shape (len(betas), len(classes(d).k), len(PAIR_ORDER)).  Each
 beta slice is computed with the same floating-point operations, in the same
@@ -18,9 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import bounds
 from .errors import DomainError
-from .model import SubRegion
 
 # Unordered boundary pairs (sigma_1, sigma_1~) with sigma_1 != sigma_1~,
 # normalized so |sigma_1~| >= |sigma_1| and (-1, +1) when magnitudes tie.
@@ -158,43 +155,6 @@ def lemma1_table(d: int, x: float, y: float, betas: np.ndarray) -> np.ndarray:
             term *= f
             out += term
         return out
-
-
-class CaseBounds(NamedTuple):
-    """The beta-dependent case bounds of one strip point over a beta grid."""
-
-    lemma2: np.ndarray  # bounds.lemma2_bound per beta
-    lemma3: np.ndarray  # bounds.lemma3_bound per beta
-    theorem1: np.ndarray  # bounds.theorem1_bound per beta
-    r: float  # bounds.r_of_t(a / b), free of beta
-
-
-def case_bounds(d: int, x: float, y: float, betas: np.ndarray) -> CaseBounds:
-    """Lemma 2, Lemma 3 and Theorem 1 bounds for every beta of a grid, and
-    r(a/b); bit-for-bit the scalar bounds.* values.
-
-    The point is classified and its exponents taken once.  The exponents of
-    each term are formed for the whole grid in the scalar functions' order;
-    only bounds._decay, on math.exp and math.expm1, runs per beta.  Raises
-    DomainError outside A|B|C.
-    """
-    sub = bounds.require_sub_region(x, y)
-    ep = bounds.band_exponents(sub, d, x, y)
-    b = np.asarray(betas, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if sub is SubRegion.C:
-            lemma2 = _decay(4.0, b * (2 * d * x + y + 1), -2 * b)
-            lemma3 = _decay(3.0, 2 * d * b * x, b * (y - 1))
-        else:
-            e = b * (2 * d * x + 2 * d * (y + 1))
-            lemma2 = _decay(4.0, e, -2 * b)
-            lemma3 = _decay(3.0, e, -b * (y + 1) if sub is SubRegion.A else -2 * b)
-        return CaseBounds(lemma2, lemma3, _decay(4.0, -b * ep.a, -b * ep.b), bounds.r_of_t(ep.a / ep.b))
-
-
-def _decay(c: float, e: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """bounds._decay per entry: c * exp(e) * (1 - exp(g)) for g <= 0."""
-    return np.array([bounds._decay(c, u, v) for u, v in zip(e.tolist(), g.tolist())])
 
 
 def first_max(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

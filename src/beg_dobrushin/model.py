@@ -4,6 +4,7 @@ the classification of the coupling plane into its phase regions."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations_with_replacement
@@ -19,7 +20,12 @@ _ENERGY_TIE_TOL = 1e-12
 
 
 def check_spin(value: int) -> int:
-    if value not in SPIN_VALUES:
+    """value as an int, if it is an int or a numpy integer (not a bool) in
+    SPIN_VALUES; DomainError otherwise."""
+    # the type test first, so ints skip the slower numbers.Integral check
+    if type(value) is not int and not isinstance(value, bool) and isinstance(value, numbers.Integral):
+        value = int(value)
+    if type(value) is not int or value not in SPIN_VALUES:
         raise DomainError(f"spin must be one of {SPIN_VALUES}, got {value!r}")
     return value
 
@@ -57,10 +63,12 @@ class ModelParams:
 class NeighborConfig:
     """The 2d neighbor spins of the origin; index 0 is the distinguished neighbor.
 
-    Caches the tail statistics used throughout the bounds:
+    Spins are stored as ints (see check_spin), with three cached statistics:
       k        -- number of nonzero spins among the non-distinguished neighbors
+                  (the k of theta_sum_bound and psi_bound)
       n        -- sum of the non-distinguished neighbor spins
-      sigma_sq -- sum of squares over all 2d spins
+      sigma_sq -- sum of squares over all 2d spins, which the conditional law,
+                  theta and psi read
     """
 
     spins: tuple[int, ...]
@@ -74,8 +82,7 @@ class NeighborConfig:
             raise DomainError(
                 f"need an even number (2d) of neighbor spins, got {len(spins)}"
             )
-        for s in spins:
-            check_spin(s)
+        spins = tuple(check_spin(s) for s in spins)
         object.__setattr__(self, "spins", spins)
         tail = spins[1:]
         object.__setattr__(self, "k", sum(1 for s in tail if s != 0))
@@ -87,7 +94,6 @@ class NeighborConfig:
         return len(self.spins) // 2
 
     def with_distinguished(self, spin: int) -> "NeighborConfig":
-        check_spin(spin)
         return NeighborConfig((spin,) + self.spins[1:])
 
 

@@ -38,14 +38,6 @@ class SpinDistribution:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.p_minus, self.p_zero, self.p_plus)
 
-    def prob(self, spin: int) -> float:
-        check_spin(spin)
-        return self.as_tuple()[spin + 1]
-
-    def reversed(self) -> "SpinDistribution":
-        """Distribution of the flipped spin (-xi)."""
-        return SpinDistribution(self.p_plus, self.p_zero, self.p_minus)
-
 
 @dataclass(frozen=True)
 class DobrushinReport:
@@ -106,10 +98,6 @@ def exact_max_tv(params: ModelParams) -> DobrushinReport:
     )
 
 
-def _box_sites(box_side: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(box_side) for j in range(box_side)]
-
-
 def boundary_ring(box_side: int) -> list[tuple[int, int]]:
     """The 4*box_side sites outside the box adjacent to some box site."""
     s = box_side
@@ -142,7 +130,7 @@ def finite_volume_marginal(
         raise DomainError(f"box_side must be an integer, got {box_side!r}")
     if box_side not in (2, 3):
         raise CapacityError(f"box_side must be 2 or 3, got {box_side}")
-    sites = _box_sites(box_side)
+    sites = [(i, j) for i in range(box_side) for j in range(box_side)]
     ring = boundary_ring(box_side)
     if isinstance(boundary, Mapping):
         bmap = dict(boundary)

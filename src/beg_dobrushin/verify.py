@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import kernel
+from . import bounds, kernel
 from .errors import DomainError
 from .kernel import PAIR_ORDER
 from .model import STRIP_BANDS, ModelParams, check_dimension, check_finite, classify_region
@@ -151,7 +151,7 @@ def _sweep_point(spec: SweepSpec, point: tuple[float, float], results: dict[Chec
 
     if requested_bound_checks and in_strip:
         l1 = kernel.lemma1_table(d, x, y, betas)
-        cases = kernel.case_bounds(d, x, y, betas)
+        cases = bounds.case_bounds(d, x, y, betas)
         # per-beta case bounds, broadcast over (class, pair)
         l2 = cases.lemma2[:, None, None]
         l3 = cases.lemma3[:, None, None]

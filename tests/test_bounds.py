@@ -350,3 +350,65 @@ class TestIntermediateBounds:
             assert theta_exact <= theta_sum_bound(params, nb.k) + 1e-12
             for tilde in (-1, 1):
                 assert abs(psi(nb, tilde, params)) <= psi_bound(params, nb.k) + 1e-12
+
+
+def decay(c, e, g):
+    return c * math.exp(e) * -math.expm1(g)
+
+
+def per_regime_bounds(params, k):
+    """(lemma3, theorem1, theta_sum, psi) bounds with each y-regime written
+    out as its own formula, as in the paper's case split."""
+    beta, x, y, d = params.beta, params.x, params.y, params.d
+    e_psi = beta * (4 * d * x + (2 * k + 1) * y + 1)
+    if y >= 1:
+        return (
+            decay(3.0, beta * (2 * d * x + 2 * d * (y + 1)), -beta * (y + 1)),
+            decay(4.0, -beta * (2 * d * abs(x + y + 1)), -beta * (y + 1)),
+            decay(2.0, beta * (2 * d * x + (k + 1) * (y + 1)), -beta * (y + 1)),
+            decay(1.0, e_psi, -beta * (y + 1)),
+        )
+    if y <= -1:
+        return (
+            decay(3.0, 2 * d * beta * x, beta * (y - 1)),
+            decay(4.0, -beta * (2 * d * abs(x)), -beta * (abs(y) + 1)),
+            decay(2.0, beta * (2 * d * x + k * (y + 1)), beta * (y - 1)),
+            decay(1.0, e_psi, beta * (y - 1)),
+        )
+    return (
+        decay(3.0, beta * (2 * d * x + 2 * d * (y + 1)), -2 * beta),
+        decay(4.0, -beta * (2 * d * abs(x + y + 1)), -beta * 2.0),
+        decay(2.0, beta * (2 * d * x + (k + 1) * (y + 1)), -2 * beta),
+        decay(1.0, e_psi, -2 * beta),
+    )
+
+
+# one interior y per band, and y at and next to both band edges
+BAND_EDGE_YS = [
+    2.5,
+    math.nextafter(1, math.inf),
+    1.0,
+    math.nextafter(1, 0),
+    0.3,
+    math.nextafter(-1, 0),
+    -1.0,
+    math.nextafter(-1, -math.inf),
+    -3.0,
+]
+
+
+class TestBandEdgeBits:
+    @pytest.mark.parametrize("y", BAND_EDGE_YS)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_equal_to_per_regime_formulas(self, y, d):
+        for x in (-5.0, -4.75):
+            for beta in (0.0, 0.37, 4.0, 30.0):
+                params = ModelParams(x=x, y=y, beta=beta, d=d)
+                for k in range(2 * d):
+                    got = (
+                        lemma3_bound(params),
+                        theorem1_bound(params),
+                        theta_sum_bound(params, k),
+                        psi_bound(params, k),
+                    )
+                    assert repr(got) == repr(per_regime_bounds(params, k)), (x, y, beta, d, k)

@@ -89,7 +89,7 @@ class TestCaseBounds:
     def test_equal_to_scalar_bounds_bit_for_bit(self, d):
         points, betas = seeded_grid(d)
         for x, y in points:
-            cases = kernel.case_bounds(d, x, y, betas)
+            cases = bounds.case_bounds(d, x, y, betas)
             params = [ModelParams(x=x, y=y, beta=beta, d=d) for beta in betas.tolist()]
             assert cases.lemma2.tobytes() == bits([bounds.lemma2_bound(p) for p in params])
             assert cases.lemma3.tobytes() == bits([bounds.lemma3_bound(p) for p in params])
@@ -101,7 +101,7 @@ class TestCaseBounds:
         # y = 1 is in A and y = -1 in C; beta = 0 gives exact zeros
         betas = np.array([0.0, 0.3, 7.0])
         for x, y in ((-4.0, 1.0), (-4.0, -1.0), (-4.0, 0.999)):
-            cases = kernel.case_bounds(3, x, y, betas)
+            cases = bounds.case_bounds(3, x, y, betas)
             params = [ModelParams(x=x, y=y, beta=beta, d=3) for beta in betas.tolist()]
             assert cases.lemma3.tobytes() == bits([bounds.lemma3_bound(p) for p in params])
 
@@ -111,11 +111,11 @@ class TestCaseBounds:
         with pytest.raises(DomainError) as scalar:
             bounds.lemma2_bound(ModelParams(x=x, y=y, beta=1.0, d=2))
         with pytest.raises(DomainError) as batched:
-            kernel.case_bounds(2, x, y, np.array([1.0]))
+            bounds.case_bounds(2, x, y, np.array([1.0]))
         assert str(batched.value) == str(scalar.value)
 
     def test_empty_beta_grid(self):
-        cases = kernel.case_bounds(2, -3.0, 0.5, np.empty(0))
+        cases = bounds.case_bounds(2, -3.0, 0.5, np.empty(0))
         assert len(cases.lemma2) == len(cases.lemma3) == len(cases.theorem1) == 0
 
 

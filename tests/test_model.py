@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from beg_dobrushin import (
     ground_pairs,
     pair_energy,
 )
-from beg_dobrushin.model import MajorRegion, SubRegion
+from beg_dobrushin.model import MajorRegion, SubRegion, check_spin
 
 from conftest import point_in_band, point_in_major
 
@@ -119,6 +120,22 @@ class TestModelParams:
             ModelParams(**values)
 
 
+class TestCheckSpin:
+    @pytest.mark.parametrize("value", [-1, 0, 1, np.int64(1), np.int8(-1), np.uint8(0)])
+    def test_accepts_integers_as_int(self, value):
+        got = check_spin(value)
+        assert type(got) is int
+        assert got == value
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, False, np.True_, 1.0, np.float64(0.0), 2, np.int64(-2), np.array([1, 0]), np.array(1), "1", None],
+    )
+    def test_rejects_non_spins(self, value):
+        with pytest.raises(DomainError, match="spin must be one of"):
+            check_spin(value)
+
+
 class TestNeighborConfig:
     @given(st.lists(spins, min_size=2, max_size=6).filter(lambda s: len(s) % 2 == 0))
     def test_cached_statistics(self, s):
@@ -136,8 +153,14 @@ class TestNeighborConfig:
             NeighborConfig((1, 0, -1))
 
     def test_rejects_bad_spin(self):
-        with pytest.raises(DomainError):
-            NeighborConfig((1, 2))
+        for bad in ((1, 2), (1.0, True), (0, np.array([1, 0]))):
+            with pytest.raises(DomainError):
+                NeighborConfig(bad)
+
+    def test_stores_int_spins(self):
+        nb = NeighborConfig(np.array([1, 0, -1, 1]))
+        assert nb.spins == (1, 0, -1, 1)
+        assert all(type(v) is int for v in (*nb.spins, nb.k, nb.n, nb.sigma_sq))
 
     def test_with_distinguished(self):
         nb = NeighborConfig((0, 1, -1, 0))

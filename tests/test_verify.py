@@ -19,8 +19,9 @@ from beg_dobrushin import (
     run_sweep,
     total_variation,
 )
-from beg_dobrushin import kernel, specification
-from beg_dobrushin.kernel import PAIR_ORDER, CaseBounds
+from beg_dobrushin import bounds, kernel, specification
+from beg_dobrushin.bounds import CaseBounds
+from beg_dobrushin.kernel import PAIR_ORDER
 from beg_dobrushin.model import SubRegion, classify_region
 from beg_dobrushin.verify import (
     ALL_CHECKS,
@@ -213,7 +214,7 @@ class TestRunSweep:
 def per_cell_results(spec):
     """Every check of a sweep recorded one cell at a time through
     sequential_record, in point, beta, class, pair order, from per-beta
-    values: the per-cell tables, kernel.case_bounds at one beta and
+    values: the per-cell tables, bounds.case_bounds at one beta and
     exact_max_tv."""
     cells = {c: [] for c in spec.checks}
     unclassifiable = []
@@ -235,7 +236,7 @@ def per_cell_results(spec):
                 continue
             tv = cell_tv_table(params, tails).tolist()
             l1 = cell_lemma1_table(params, tails).tolist()
-            cases = kernel.case_bounds(spec.d, x, y, np.array([beta]))
+            cases = bounds.case_bounds(spec.d, x, y, np.array([beta]))
             l2, l3, t1 = cases.lemma2[0], cases.lemma3[0], cases.theorem1[0]
             for ti, tail in enumerate(tails.tolist()):
                 for ci, pair in enumerate(PAIR_ORDER):
@@ -273,7 +274,7 @@ class TestArrayRecording:
 
     @staticmethod
     def fake_case_bounds(values, r):
-        """A kernel.case_bounds stand-in whose per-beta (lemma2, lemma3,
+        """A bounds.case_bounds stand-in whose per-beta (lemma2, lemma3,
         theorem1) are drawn from values, seeded by (x, y, beta) alone, so a
         one-beta call agrees with the whole-grid call."""
 
@@ -289,7 +290,7 @@ class TestArrayRecording:
 
     def test_all_vs_theorem1_beyond_witness_cap(self, monkeypatch):
         # ties among few values, and far more than MAX_WITNESSES failures
-        monkeypatch.setattr(kernel, "case_bounds", self.fake_case_bounds((0.0, 0.25, 0.5, 1.0), 0.5))
+        monkeypatch.setattr(bounds, "case_bounds", self.fake_case_bounds((0.0, 0.25, 0.5, 1.0), 0.5))
         spec = small_spec(beta_grid=log_beta_grid(), checks=frozenset({Check.ALL_VS_THEOREM1}))
         want = per_cell_results(spec)
         assert want["AllvsTheorem1"].fail_count > MAX_WITNESSES
@@ -303,7 +304,7 @@ class TestArrayRecording:
             t1 = np.array([first if beta < 1.0 else later for beta in np.asarray(betas).tolist()])
             return CaseBounds(np.zeros(len(t1)), np.zeros(len(t1)), t1, 1.0)
 
-        monkeypatch.setattr(kernel, "case_bounds", case_bounds)
+        monkeypatch.setattr(bounds, "case_bounds", case_bounds)
         spec = small_spec(beta_grid=log_beta_grid(), checks=frozenset({Check.ALL_VS_THEOREM1}))
         report = run_sweep(spec)
         assert repr(report.checks[0].worst_slack) == repr(first - 0.0)
