@@ -119,7 +119,7 @@ def _check_pair(nb: NeighborConfig, sigma1_tilde: int) -> None:
 
 def theta(s: int, nb: NeighborConfig, sigma1_tilde: int, params: ModelParams) -> float:
     """One signed term of the TV decomposition for origin spin s in {-1, +1}."""
-    if s not in (-1, 1):
+    if check_spin(s) == 0:
         raise DomainError(f"s must be -1 or +1, got {s!r}")
     _check_pair(nb, sigma1_tilde)
     s1, st = nb.spins[0], sigma1_tilde
@@ -190,14 +190,21 @@ def case_bounds(d: int, x: float, y: float, betas: np.ndarray) -> CaseBounds:
     r(a/b); bit-for-bit the scalar bounds.
 
     The point is classified once and the exponents are formed for the whole
-    grid by _case_terms; only _decay, on math.exp and math.expm1, runs per
-    beta.  Raises DomainError outside A|B|C.
+    grid by _case_terms; only math.exp and math.expm1 run per beta, in one
+    loop, with the factor 1 - exp(g) that Lemma 3 and Theorem 1 share taken
+    once.  Raises DomainError outside A|B|C.
     """
     sub = require_sub_region(x, y)
     ep = band_exponents(sub, d, x, y)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = _case_terms(sub, d, x, y, np.asarray(betas, dtype=np.float64))
-    decays = [np.array([_decay(c, u, v) for u, v in zip(e.tolist(), g.tolist())]) for c, e, g in terms]
+        (c2, e2, g2), (c3, e3, g), (c1, e1, _) = _case_terms(sub, d, x, y, np.asarray(betas, dtype=np.float64))
+    lemma2, lemma3, theorem1 = [], [], []
+    for u2, v2, u3, u1, v in zip(e2.tolist(), g2.tolist(), e3.tolist(), e1.tolist(), g.tolist()):
+        f = -math.expm1(v)  # _decay's factor, as c * exp(e) * f
+        lemma2.append(_decay(c2, u2, v2))
+        lemma3.append(c3 * math.exp(u3) * f)
+        theorem1.append(c1 * math.exp(u1) * f)
+    decays = (np.array(values, dtype=np.float64) for values in (lemma2, lemma3, theorem1))
     return CaseBounds(*decays, r_of_t(ep.a / ep.b))
 
 

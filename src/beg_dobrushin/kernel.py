@@ -1,10 +1,12 @@
 """Vectorized single-site kernel: the (k, #plus) classes of neighbor tails and,
-for every inverse temperature of a grid at once, the exact TV distances and
-the Lemma 1 bounds over (beta, class, boundary pair).
+for every inverse temperature of a grid at once, the exact TV distances over
+(beta, class, boundary pair) and, for many points at once, the Lemma 1 bounds
+over (point, beta, class, boundary pair).
 
-Tables have shape (len(betas), len(classes(d).k), len(PAIR_ORDER)).  Each
-beta slice is computed with the same floating-point operations, in the same
-order, as a single-beta evaluation, so batching never changes a value.
+Tables have shape (len(betas), len(classes(d).k), len(PAIR_ORDER)), with a
+leading points axis for lemma1_table.  Each (point, beta) slice is computed
+with the same floating-point operations, in the same order, as a
+single-point, single-beta evaluation, so batching never changes a value.
 Overflow to inf or nan raises no numpy warning here: the callers turn a
 non-finite result into one DomainError.
 """
@@ -28,6 +30,11 @@ PAIR_ORDER = ((-1, 1), (0, 1), (0, -1))
 # most 4 KiB (the (betas, classes, pairs) result 12 KiB), and a long beta grid,
 # or a large d, costs memory for one small block only.
 _BLOCK_CELLS = 512
+
+# Upper bound on the point x beta x class cells of one lemma1_table call in
+# the sweep: each (points, betas, classes, pairs) temporary then holds at most
+# 96 KiB, so a sweep's Lemma 1 tables cost memory for one block of points only.
+_SWEEP_BLOCK_CELLS = 4096
 
 
 class ClassTable(NamedTuple):
@@ -122,37 +129,50 @@ def _pair_stats(d: int) -> tuple[np.ndarray, np.ndarray]:
     return stats
 
 
-def lemma1_table(d: int, x: float, y: float, betas: np.ndarray) -> np.ndarray:
-    """|theta_+1| + |theta_-1| + |psi| per beta, tail class and normalized
-    pair; vectorized mirror of bounds.lemma1_bound.
+def _neg_expm1(a: np.ndarray) -> np.ndarray:
+    """1 - exp(a) per entry, by math.expm1 as the scalar bounds take it."""
+    return np.array([-math.expm1(v) for v in a.ravel().tolist()]).reshape(a.shape)
 
-    All pairs are evaluated at once on (betas, classes, pairs) arrays, with
-    each pair's sigma_1 terms as length-3 vectors; every entry repeats the
-    single-pair operations in the same order.  The nine factors
-    1 - exp(-|e|) per beta (psi's and both thetas' for each pair) depend on
-    beta alone; they are taken in one pass with math.expm1, as the scalar
-    bound does.
+
+def lemma1_table(d: int, xs: np.ndarray, ys: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """|theta_+1| + |theta_-1| + |psi| per point (xs[i], ys[i]), beta, tail
+    class and normalized pair, shape (points, betas, classes, pairs);
+    vectorized mirror of bounds.lemma1_bound.
+
+    All points and pairs are evaluated at once, with each pair's sigma_1 terms
+    as length-3 vectors; every entry repeats the single-pair operations in the
+    same order.  Of the nine factors 1 - exp(-|e|) per (point, beta) (psi's
+    and both thetas' for each pair), math.expm1 takes only the six whose
+    inputs can differ: psi's of (-1, +1) and (0, 1), which depend on beta
+    alone; both thetas' of (-1, +1); and the s = -1 theta's of (0, 1) and
+    (0, -1).  The other three repeat one of these as the same IEEE
+    expression: psi's |g| is |b| for both (0, +-1) pairs, and their e_pair
+    is the same b*y, so the s = +1 theta of either is the s = -1 theta of the
+    other ((-b)*(-1) = b and b*(-1) = -b).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         sig2, s1_n = _pair_stats(d)
         b = np.asarray(betas, dtype=np.float64)[:, None]
-        # (betas, pairs) columns: |g|, the psi exponent's pair term and e_inner
-        # for s = -1, +1
+        x = np.asarray(xs, dtype=np.float64)[:, None, None, None]
+        y = np.asarray(ys, dtype=np.float64)[:, None, None]
+        # |g| (betas, pairs); the psi exponent's pair term and e_inner for
+        # s = -1, +1 (points, betas, pairs)
         g = np.abs(b * _STEP)
         e_pair = b * y * _DSQ
         e_inner = (e_pair + -b * _STEP, e_pair + b * _STEP)
-        neg = np.stack((-2 * g, -np.abs(e_inner[0]), -np.abs(e_inner[1])))
-        factors = np.array([-math.expm1(v) for v in neg.ravel().tolist()]).reshape(neg.shape)
-        f_psi, f_minus, f_plus = factors[:, :, None, :]
+        f_psi = _neg_expm1(-2 * g[:, :2])[:, [0, 1, 1]]
+        f_minus = _neg_expm1(-np.abs(e_inner[0]))
+        f_plus = np.concatenate((_neg_expm1(-np.abs(e_inner[1][:, :, :1])), f_minus[:, :, :0:-1]), axis=2)
         b = b[:, :, None]
+        y = y[:, :, :, None]
         e_prefix = b * (2 * d * x + y * sig2)
-        e_psi = b * (4 * d * x + 2 * y * sig2) + e_pair[:, None, :]
+        e_psi = b * (4 * d * x + 2 * y * sig2) + e_pair[:, :, None, :]
         out = np.exp(e_psi + g[:, None, :])
-        out *= f_psi
+        out *= f_psi[:, None, :]
         for s, e, f in ((-b, e_inner[0], f_minus), (b, e_inner[1], f_plus)):
             # |exp(e) - 1| = exp(max(e, 0)) * (1 - exp(-|e|))
-            term = np.exp(e_prefix + s * s1_n + np.maximum(e, 0.0)[:, None, :])
-            term *= f
+            term = np.exp(e_prefix + s * s1_n + np.maximum(e, 0.0)[:, :, None, :])
+            term *= f[:, :, None, :]
             out += term
         return out
 
@@ -169,6 +189,12 @@ def block_betas(d: int) -> int:
     """Betas per max_tv block: as many as fit _BLOCK_CELLS (beta, class)
     cells, and at least one."""
     return max(1, _BLOCK_CELLS // len(classes(d).k))
+
+
+def block_points(d: int, n_betas: int) -> int:
+    """Points per lemma1_table block of a sweep over n_betas betas: as many as
+    fit _SWEEP_BLOCK_CELLS (point, beta, class) cells, and at least one."""
+    return max(1, _SWEEP_BLOCK_CELLS // max(1, n_betas * len(classes(d).k)))
 
 
 def finite_tv(tv: float, d: int, x: float, y: float, beta: float) -> float:

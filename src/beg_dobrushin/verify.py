@@ -101,12 +101,16 @@ class SweepReport:
         return json.dumps({"meta": meta, "checks": checks}, sort_keys=True, indent=2, allow_nan=False)
 
 
-def _sweep_point(spec: SweepSpec, point: tuple[float, float], results: dict[Check, CheckResult]) -> None:
+def _sweep_point(
+    spec: SweepSpec, point: tuple[float, float], results: dict[Check, CheckResult], l1: np.ndarray | None
+) -> None:
     """Record every requested check at one point, over the whole beta grid at
-    once, into the sweep's results."""
+    once, into the sweep's results.  l1 is the point's (betas, classes, pairs)
+    Lemma 1 table when the spec requests bound checks and the point lies in
+    the strip, and None otherwise."""
     d = spec.d
     x, y = point
-    in_strip = classify_region(x, y).sub in STRIP_BANDS
+    in_strip = l1 is not None
     requested_bound_checks = spec.checks & BOUND_CHECKS
     if requested_bound_checks and not in_strip:
         for c in requested_bound_checks:
@@ -150,7 +154,6 @@ def _sweep_point(spec: SweepSpec, point: tuple[float, float], results: dict[Chec
         return lambda idx: (kernel.class_tail(d, idx[1]), PAIR_ORDER[cols[idx[2]]])
 
     if requested_bound_checks and in_strip:
-        l1 = kernel.lemma1_table(d, x, y, betas)
         cases = bounds.case_bounds(d, x, y, betas)
         # per-beta case bounds, broadcast over (class, pair)
         l2 = cases.lemma2[:, None, None]
@@ -181,13 +184,24 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
     """Run every requested check at every (point, beta) grid cell.
 
     Enumerates every tail class and boundary pair per cell; each point records
-    into the one result per check, in point order.  The report's git_rev is
-    None: this function cannot know which source revision it runs, so a
-    caller that does may set it.
+    into the one result per check, in point order.  The points are taken in
+    consecutive blocks of kernel.block_points, and one lemma1_table call
+    serves a block's strip points, each reading its own row (by position, as
+    a spec may repeat a point).  The report's git_rev is None: this function
+    cannot know which source revision it runs, so a caller that does may set
+    it.
     """
     results = {c: CheckResult(name=c.value) for c in spec.checks}
-    for point in spec.points:
-        _sweep_point(spec, point, results)
+    bound_checks = bool(spec.checks & BOUND_CHECKS)
+    betas = np.array(spec.beta_grid)
+    step = kernel.block_points(spec.d, len(betas))
+    for start in range(0, len(spec.points), step):
+        block = spec.points[start : start + step]
+        in_strip = [bound_checks and classify_region(x, y).sub in STRIP_BANDS for x, y in block]
+        strip = [point for point, keep in zip(block, in_strip) if keep]
+        rows = iter(kernel.lemma1_table(spec.d, *zip(*strip), betas) if strip else ())
+        for point, keep in zip(block, in_strip):
+            _sweep_point(spec, point, results, next(rows) if keep else None)
     ordered = [results[c] for c in sorted(spec.checks, key=lambda c: c.value)]
     return SweepReport(spec=spec, checks=ordered)
 

@@ -164,6 +164,23 @@ class TestThetaPsi:
         with pytest.raises(DomainError):
             theta(1, nb, -1, params)
 
+    @pytest.mark.parametrize("s", [True, False, 1.0, -1.0, 0.5, np.float64(1.0), np.array([1]), 2, None])
+    def test_theta_rejects_non_spin_origin(self, s):
+        # a bool or a float equal to +-1 is not a spin
+        params = ModelParams(x=-3, y=0.5, beta=1.0, d=2)
+        nb = NeighborConfig((0, 1, -1, 1))
+        with pytest.raises(DomainError):
+            theta(s, nb, 1, params)
+
+    @pytest.mark.parametrize("s", [1, -1])
+    def test_theta_takes_numpy_integer_origin(self, s):
+        params = ModelParams(x=-3, y=0.5, beta=1.0, d=2)
+        nb = NeighborConfig((0, 1, -1, 1))
+        for spin in (np.int8(s), np.int64(s)):
+            assert theta(spin, nb, 1, params) == theta(s, nb, 1, params)
+        with pytest.raises(DomainError):
+            theta(np.int64(0), nb, 1, params)
+
     def test_theta_equal_magnitude_inner_factor(self):
         # sigma_1 = -1 -> +1 leaves the y term untouched: inner factor e^{2 beta s} - 1
         params = ModelParams(x=-4, y=1.7, beta=0.9, d=2)

@@ -25,7 +25,7 @@ class TestBatchedTables:
         tails = class_tails(d)
         for x, y in points:
             tv = kernel.tv_table(d, x, y, betas)
-            l1 = kernel.lemma1_table(d, x, y, betas)
+            l1 = kernel.lemma1_table(d, [x], [y], betas)[0]
             assert tv.shape == l1.shape == (len(betas), len(tails), 3)
             for i, beta in enumerate(betas.tolist()):
                 params = ModelParams(x=x, y=y, beta=beta, d=d)
@@ -34,7 +34,54 @@ class TestBatchedTables:
 
     def test_empty_beta_grid(self):
         assert kernel.tv_table(2, -3.0, 0.5, np.empty(0)).shape == (0, 10, 3)
-        assert kernel.lemma1_table(2, -3.0, 0.5, np.empty(0)).shape == (0, 10, 3)
+        assert kernel.lemma1_table(2, [-3.0], [0.5], np.empty(0))[0].shape == (0, 10, 3)
+
+
+def canonical_nan_bytes(table: np.ndarray) -> bytes:
+    """table's bytes with every nan made the same nan: the sign bit of a nan
+    depends on the code path numpy takes, its position and the rest do not."""
+    return np.where(np.isnan(table), np.nan, table).tobytes()
+
+
+class TestLemma1Points:
+    """lemma1_table over many points at once equals the per-cell reference at
+    every (point, beta)."""
+
+    @staticmethod
+    def assert_cells(d, points, betas, key=lambda a: a.tobytes()):
+        xs, ys = [x for x, _ in points], [y for _, y in points]
+        table = kernel.lemma1_table(d, xs, ys, betas)
+        tails = class_tails(d)
+        assert table.shape == (len(points), len(betas), len(tails), 3)
+        for i, (x, y) in enumerate(points):
+            for j, beta in enumerate(betas.tolist()):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = cell_lemma1_table(ModelParams(x=x, y=y, beta=beta, d=d), tails)
+                assert key(table[i, j]) == key(want), (x, y, beta)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_many_points_match_cells(self, d):
+        points, betas = seeded_grid(d)
+        # a repeated point gets its own, equal row
+        self.assert_cells(d, points + points[:2], betas)
+
+    def test_zero_beta_grid(self):
+        points, _ = seeded_grid(2)
+        self.assert_cells(2, points, np.array([0.0]))
+
+    def test_empty_grids(self):
+        points, betas = seeded_grid(3)
+        xs, ys = [x for x, _ in points], [y for _, y in points]
+        assert kernel.lemma1_table(3, xs, ys, np.empty(0)).shape == (6, 0, 21, 3)
+        assert kernel.lemma1_table(3, [], [], betas).shape == (0, len(betas), 21, 3)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_overflowing_points_match_inf_nan_pattern(self, d):
+        points = [(1e308, -1e308), (-1e308, 5e307), (-1e308, -1e308), (1e308, 1e308), (0.0, 1e308), (-3.0, 0.5)]
+        betas = np.array([0.0, 1e-3, 0.5, 1.0, 40.0])
+        table = kernel.lemma1_table(d, *zip(*points), betas)
+        assert np.isnan(table).any() and np.isinf(table).any()
+        self.assert_cells(d, points, betas, key=canonical_nan_bytes)
 
 
 class TestClasses:
@@ -120,8 +167,10 @@ class TestCaseBounds:
 
 
 class TestSweepPointClassification:
-    @pytest.mark.parametrize("point", [(-5.0, 2.0), (-3.0, 0.5), (-1.0, -3.0), (0.0, -2.0)])
-    def test_classifies_at_most_twice_per_point(self, point, monkeypatch):
+    @pytest.fixture
+    def classify_calls(self, monkeypatch):
+        """The argument tuples of every classify_region call, from any package
+        module."""
         calls = []
         original = model.classify_region
 
@@ -132,8 +181,21 @@ class TestSweepPointClassification:
         for name, module in list(sys.modules.items()):
             if name.startswith("beg_dobrushin") and getattr(module, "classify_region", None) is original:
                 monkeypatch.setattr(module, "classify_region", counting)
+        return calls
+
+    @pytest.mark.parametrize("point", [(-5.0, 2.0), (-3.0, 0.5), (-1.0, -3.0), (0.0, -2.0)])
+    def test_classifies_at_most_twice_per_point(self, point, classify_calls):
         spec = verify.SweepSpec(
             d=2, points=(point,), beta_grid=verify.log_beta_grid(), checks=verify.ALL_CHECKS
         )
-        verify._sweep_point(spec, spec.points[0], {c: verify.CheckResult(c.value) for c in spec.checks})
-        assert 1 <= len(calls) <= 2
+        verify.run_sweep(spec)
+        assert 1 <= len(classify_calls) <= 2
+
+    def test_classifies_at_most_twice_per_point_across_blocks(self, classify_calls):
+        points = ((-5.0, 2.0), (-3.0, 0.5), (-1.0, -3.0), (0.0, -2.0)) * 4
+        spec = verify.SweepSpec(d=3, points=points, beta_grid=verify.log_beta_grid(), checks=verify.ALL_CHECKS)
+        assert kernel.block_points(3, len(spec.beta_grid)) < len(points)
+        verify.run_sweep(spec)
+        assert len(points) <= len(classify_calls) <= 2 * len(points)
+        for point in set(points):
+            assert classify_calls.count(point) <= 2 * points.count(point)

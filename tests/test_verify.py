@@ -187,7 +187,7 @@ class TestRunSweep:
         monkeypatch.setattr(
             kernel,
             "lemma1_table",
-            lambda d, x, y, betas: np.zeros((len(betas), len(kernel.classes(d).k), 3)),
+            lambda d, xs, ys, betas: np.zeros((len(xs), len(betas), len(kernel.classes(d).k), 3)),
         )
         spec = small_spec(d=d, checks=frozenset({Check.TV_VS_LEMMA1}))
         check = run_sweep(spec).checks[0]
@@ -337,6 +337,42 @@ class TestArrayRecording:
         assert repr(want["Lemma1vsLemma2"].worst_slack) == "0.0"
         assert want["DobrushinSatisfied"].fail_count > 0
         assert_records_equal(run_sweep(spec), want)
+
+
+class TestPointBlocks:
+    """run_sweep builds one Lemma 1 table per block of points; the result is
+    the per-cell one however the blocks fall."""
+
+    # strip points in A, B and C, off-strip points, and repeats within a
+    # block and across blocks
+    POINTS = (
+        (-5.0, 2.0), (0.0, -2.0), (-3.0, 0.5), (-3.0, 0.5), (-1.0, -3.0), (1.0, 1.0),
+        (-7.5, 3.5), (-5.0, 2.0), (-2.5, -0.5), (0.5, -3.0), (-0.5, -1.5),
+    )
+
+    @pytest.mark.parametrize("block_cells", [None, 1, 2000])
+    def test_d3_blocks_match_per_cell(self, block_cells, monkeypatch):
+        if block_cells is not None:
+            monkeypatch.setattr(kernel, "_SWEEP_BLOCK_CELLS", block_cells)
+        spec = small_spec(d=3, points=self.POINTS, beta_grid=log_beta_grid(), checks=ALL_CHECKS)
+        assert kernel.block_points(3, len(spec.beta_grid)) < len(spec.points)
+        assert_records_equal(run_sweep(spec), per_cell_results(spec))
+
+    def test_non_finite_point_late_in_block(self):
+        # the point is the last of the second block of four; earlier points
+        # record first, and the error is the per-point sweep's
+        points = (
+            (-5.0, 2.0), (0.0, -2.0), (-3.0, 0.5), (-1.0, -3.0),
+            (-5.0, 2.0), (-2.5, -0.5), (-1.0, -3.0), (-2e307, 1e307),
+        )
+        spec = small_spec(d=3, points=points, beta_grid=log_beta_grid(), checks=BOUND_CHECKS)
+        assert kernel.block_points(3, len(spec.beta_grid)) == 4
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainError) as err:
+                run_sweep(spec)
+        assert str(err.value) == (
+            "TVvsLemma1 slack is nan at point (-2e+307, 1e+307); the point is too large in magnitude"
+        )
 
 
 class TestDefaultSpec:
