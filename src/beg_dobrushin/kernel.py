@@ -1,14 +1,13 @@
 """Vectorized single-site kernel: the (k, #plus) classes of neighbor tails and,
-for every inverse temperature of a grid at once, the exact TV distances over
-(beta, class, boundary pair) and, for many points at once, the Lemma 1 bounds
-over (point, beta, class, boundary pair).
+for every inverse temperature of a grid at once, the exact TV distances and
+the Lemma 1 bounds over (point, beta, class, boundary pair).
 
 Tables have shape (len(betas), len(classes(d).k), len(PAIR_ORDER)), with a
-leading points axis for lemma1_table.  Each (point, beta) slice is computed
-with the same floating-point operations, in the same order, as a
-single-point, single-beta evaluation, so batching never changes a value.
-Overflow to inf or nan raises no numpy warning here: the callers turn a
-non-finite result into one DomainError.
+leading points axis for lemma1_table and for tv_table over many points.  Each
+(point, beta) slice is computed with the same floating-point operations, in
+the same order, as a single-point, single-beta evaluation, so batching never
+changes a value.  Overflow to inf or nan raises no numpy warning here: the
+callers turn a non-finite result into one DomainError.
 """
 
 from __future__ import annotations
@@ -31,9 +30,9 @@ PAIR_ORDER = ((-1, 1), (0, 1), (0, -1))
 # or a large d, costs memory for one small block only.
 _BLOCK_CELLS = 512
 
-# Upper bound on the point x beta x class cells of one lemma1_table call in
-# the sweep: each (points, betas, classes, pairs) temporary then holds at most
-# 96 KiB, so a sweep's Lemma 1 tables cost memory for one block of points only.
+# Upper bound on the point x beta x class cells of one block of sweep points:
+# each (points, betas, classes, pairs) temporary of its TV and Lemma 1 tables
+# then holds at most 96 KiB, so a sweep's tables cost memory for one block only.
 _SWEEP_BLOCK_CELLS = 4096
 
 
@@ -83,9 +82,10 @@ def class_tail(d: int, i: int) -> tuple[int, ...]:
     return (-1,) * (k - plus) + (0,) * (2 * d - 1 - k) + (1,) * plus
 
 
-def tv_table(d: int, x: float, y: float, betas: np.ndarray) -> np.ndarray:
+def tv_table(d: int, x: float | np.ndarray, y: float | np.ndarray, betas: np.ndarray) -> np.ndarray:
     """TV distances between the origin conditionals for each boundary pair,
-    per beta and tail class.
+    per beta and tail class: shape (betas, classes, pairs) for float x and y,
+    and (points, betas, classes, pairs) for x and y of shape (points, 1, 1).
 
     Each conditional is held as three (betas, classes) planes, one per origin
     spin, so no step reduces over a short spin axis; the normalizer is summed
@@ -105,10 +105,10 @@ def tv_table(d: int, x: float, y: float, betas: np.ndarray) -> np.ndarray:
             w = (np.exp(e_minus - top), np.exp(-top), np.exp(e_plus - top))
             z = (w[0] + w[1]) + w[2]
             dists[s1] = [plane / z for plane in w]
-        out = np.empty((len(b), len(k), len(PAIR_ORDER)))
+        out = np.empty(z.shape + (len(PAIR_ORDER),))
         for j, (p, q) in enumerate(PAIR_ORDER):
             delta = [np.abs(u - v) for u, v in zip(dists[p], dists[q])]
-            np.multiply(0.5, (delta[0] + delta[1]) + delta[2], out=out[:, :, j])
+            np.multiply(0.5, (delta[0] + delta[1]) + delta[2], out=out[..., j])
         return out
 
 
@@ -192,8 +192,8 @@ def block_betas(d: int) -> int:
 
 
 def block_points(d: int, n_betas: int) -> int:
-    """Points per lemma1_table block of a sweep over n_betas betas: as many as
-    fit _SWEEP_BLOCK_CELLS (point, beta, class) cells, and at least one."""
+    """Points per block (one tv_table and one lemma1_table) of a sweep over
+    n_betas betas: as many as fit _SWEEP_BLOCK_CELLS cells, and at least one."""
     return max(1, _SWEEP_BLOCK_CELLS // max(1, n_betas * len(classes(d).k)))
 
 

@@ -37,7 +37,8 @@ def check_finite(name: str, value: float) -> float:
 
 
 def check_dimension(d: int) -> int:
-    if not isinstance(d, int) or d < 1:
+    """d, if it is an int (not a bool) >= 1; DomainError otherwise."""
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise DomainError(f"d must be an integer >= 1, got {d!r}")
     return d
 

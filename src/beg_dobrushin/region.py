@@ -11,7 +11,8 @@ from .model import STRIP_BANDS, check_dimension, check_finite, classify_region
 _BISECT_TOL = 1e-12
 
 
-@lru_cache(maxsize=None)
+# typed, as True == 1: d = True must not hit d = 1's entry unchecked
+@lru_cache(maxsize=None, typed=True)
 def solve_t_d(d: int) -> float:
     """Root t_d of r(t) = 1/(2d), computed once per dimension by bisection:
     r is strictly decreasing with r(1) = 1 > 1/(2d), so [1, T] brackets the

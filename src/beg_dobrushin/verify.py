@@ -5,7 +5,7 @@ where the uniqueness condition fails."""
 from __future__ import annotations
 
 import json
-import math
+import numbers
 import random
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -43,7 +43,14 @@ class SweepSpec:
     checks: frozenset[Check]
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple((float(x), float(y)) for x, y in self.points))
+        points = []
+        for point in self.points:
+            try:
+                x, y = point
+            except (TypeError, ValueError):
+                raise DomainError(f"sweep point must be an (x, y) pair, got {point!r}") from None
+            points.append((float(x), float(y)))
+        object.__setattr__(self, "points", tuple(points))
         grid = tuple(float(b) for b in self.beta_grid)
         object.__setattr__(self, "beta_grid", grid)
         object.__setattr__(self, "checks", frozenset(self.checks))
@@ -101,107 +108,98 @@ class SweepReport:
         return json.dumps({"meta": meta, "checks": checks}, sort_keys=True, indent=2, allow_nan=False)
 
 
-def _sweep_point(
-    spec: SweepSpec, point: tuple[float, float], results: dict[Check, CheckResult], l1: np.ndarray | None
-) -> None:
-    """Record every requested check at one point, over the whole beta grid at
-    once, into the sweep's results.  l1 is the point's (betas, classes, pairs)
-    Lemma 1 table when the spec requests bound checks and the point lies in
-    the strip, and None otherwise."""
+def _sweep_point(spec: SweepSpec, points: tuple[tuple[float, float], ...], results: dict[Check, CheckResult]) -> None:
+    """Record every requested check at a block of points, over the whole beta
+    grid at once, into the sweep's results: one TV table serves the block,
+    and one Lemma 1 table its strip points if bound checks are requested."""
     d = spec.d
-    x, y = point
-    in_strip = l1 is not None
     requested_bound_checks = spec.checks & BOUND_CHECKS
-    if requested_bound_checks and not in_strip:
-        for c in requested_bound_checks:
-            results[c].unclassifiable.append(point)
+    in_strip = [bool(requested_bound_checks) and classify_region(x, y).sub in STRIP_BANDS for x, y in points]
+    strip = [point for point, keep in zip(points, in_strip) if keep]
+    for c in requested_bound_checks:
+        results[c].unclassifiable += [point for point, keep in zip(points, in_strip) if not keep]
     if not spec.beta_grid:
         return
     mult = kernel.classes(d).mult
     betas = np.array(spec.beta_grid)
-    tv = kernel.tv_table(d, x, y, betas)
+    tv = kernel.tv_table(d, *(np.array(c)[:, None, None] for c in zip(*points)), betas)
 
-    def record(check: Check, slack: np.ndarray, cell, weights=None) -> None:
-        """Record a slack array whose leading axis is beta, as one cell at a
-        time in index order (beta-major) and in point order would: the worst
-        slack moves only to a strictly smaller first minimum (by argmin: numpy's
-        min may return a later zero of the other sign), a failing index adds
-        weights[i] of its axis-1 index i to fail_count (1 without weights), and
-        witnesses are kept up to MAX_WITNESSES.  cell(index) gives a failing
-        index's (tail, pair).  A non-finite minimum (argmin finds a nan first)
-        is a DomainError."""
+    def record(check: Check, pts, slack: np.ndarray, cell, weights=None) -> None:
+        """Record a (point, beta, ...) slack array over pts as one cell at a time
+        in index order would: the worst slack moves only to a strictly smaller
+        first minimum (by argmin: numpy's min may return a later zero of the
+        other sign), a failing index adds weights[i] of its axis-2 index i to
+        fail_count (1 without weights), and witnesses are kept up to
+        MAX_WITNESSES.  cell(index) gives a failing index's (tail, pair).  The
+        first point whose first minimum is not finite is a DomainError."""
         res = results[check]
-        flat = slack.ravel()
-        worst = float(flat[flat.argmin()])
-        if not math.isfinite(worst):
+        rows = slack.reshape(len(pts), -1)
+        lows = rows[np.arange(len(rows)), rows.argmin(axis=1)]
+        non_finite = np.flatnonzero(~np.isfinite(lows))
+        if len(non_finite):
+            i = non_finite[0]
             raise DomainError(
-                f"{check.value} slack is {worst!r} at point {point}; the point is too large in magnitude"
+                f"{check.value} slack is {float(lows[i])!r} at point {pts[i]}; the point is too large in magnitude"
             )
+        worst = float(lows[lows.argmin()])
         if res.worst_slack is None or worst < res.worst_slack:
             res.worst_slack = worst
         if worst < -SLACK_TOL:
             bad = np.argwhere(slack < -SLACK_TOL)
-            res.fail_count += len(bad) if weights is None else sum(weights[i] for i in bad[:, 1].tolist())
+            res.fail_count += len(bad) if weights is None else sum(weights[i] for i in bad[:, 2].tolist())
             room = MAX_WITNESSES - len(res.witnesses)
             res.witnesses += [
-                Witness(point, spec.beta_grid[idx[0]], *cell(idx), float(slack[tuple(idx)]))
+                Witness(pts[idx[0]], spec.beta_grid[idx[1]], *cell(idx), float(slack[tuple(idx)]))
                 for idx in bad[:room].tolist()
             ]
 
     def table_cell(cols):
-        """cell() of a (beta, class, pair) table whose pair axis holds the
-        PAIR_ORDER pairs cols."""
-        return lambda idx: (kernel.class_tail(d, idx[1]), PAIR_ORDER[cols[idx[2]]])
+        """cell() of a (point, beta, class, pair) table whose pair axis holds
+        the PAIR_ORDER pairs cols."""
+        return lambda idx: (kernel.class_tail(d, idx[2]), PAIR_ORDER[cols[idx[3]]])
 
-    if requested_bound_checks and in_strip:
-        cases = bounds.case_bounds(d, x, y, betas)
-        # per-beta case bounds, broadcast over (class, pair)
-        l2 = cases.lemma2[:, None, None]
-        l3 = cases.lemma3[:, None, None]
+    if strip:
+        l1 = kernel.lemma1_table(d, *zip(*strip), betas)
+        # per-(point, beta) case bounds, broadcast over (class, pair)
+        lemma2, lemma3, t1, r = (np.array(v) for v in zip(*(bounds.case_bounds(d, x, y, betas) for x, y in strip)))
+        l2 = lemma2[:, :, None, None]
+        l3 = lemma3[:, :, None, None]
         # a failing class cell stands for every tail of its class
         if Check.TV_VS_LEMMA1 in spec.checks:
-            record(Check.TV_VS_LEMMA1, l1 - tv, table_cell((0, 1, 2)), mult)
+            record(Check.TV_VS_LEMMA1, strip, l1 - tv[np.array(in_strip)], table_cell((0, 1, 2)), mult)
         if Check.LEMMA1_VS_LEMMA2 in spec.checks:
             # the single equal-magnitude pair is PAIR_ORDER[0] = (-1, +1)
-            record(Check.LEMMA1_VS_LEMMA2, l2 - l1[:, :, :1], table_cell((0,)), mult)
+            record(Check.LEMMA1_VS_LEMMA2, strip, l2 - l1[..., :1], table_cell((0,)), mult)
         if Check.LEMMA1_VS_LEMMA3 in spec.checks:
-            record(Check.LEMMA1_VS_LEMMA3, l3 - l1[:, :, 1:], table_cell((1, 2)), mult)
+            record(Check.LEMMA1_VS_LEMMA3, strip, l3 - l1[..., 1:], table_cell((1, 2)), mult)
         if Check.ALL_VS_THEOREM1 in spec.checks:
-            # per beta: Theorem 1 - Lemma 2, Theorem 1 - Lemma 3, r - Theorem 1
-            t1 = cases.theorem1
-            slack = np.stack((t1 - cases.lemma2, t1 - cases.lemma3, cases.r - t1), axis=1)
-            record(Check.ALL_VS_THEOREM1, slack, lambda idx: (None, None))
+            # per (point, beta): Theorem 1 - Lemma 2, Theorem 1 - Lemma 3, r - Theorem 1
+            slack = np.stack((t1 - lemma2, t1 - lemma3, r[:, None] - t1), axis=2)
+            record(Check.ALL_VS_THEOREM1, strip, slack, lambda idx: (None, None))
     if Check.DOBRUSHIN_SATISFIED in spec.checks:
-        top, tail_i, pair_i = kernel.first_max(tv)
+        top, tail_i, pair_i = (a.reshape(tv.shape[:2]) for a in kernel.first_max(tv.reshape(-1, *tv.shape[2:])))
         record(
             Check.DOBRUSHIN_SATISFIED,
+            points,
             1.0 / (2 * d) - top,
-            lambda idx: (kernel.class_tail(d, tail_i[idx[0]]), PAIR_ORDER[pair_i[idx[0]]]),
+            lambda idx: (kernel.class_tail(d, tail_i[idx[0], idx[1]]), PAIR_ORDER[pair_i[idx[0], idx[1]]]),
         )
 
 
 def run_sweep(spec: SweepSpec) -> SweepReport:
     """Run every requested check at every (point, beta) grid cell.
 
-    Enumerates every tail class and boundary pair per cell; each point records
-    into the one result per check, in point order.  The points are taken in
-    consecutive blocks of kernel.block_points, and one lemma1_table call
-    serves a block's strip points, each reading its own row (by position, as
-    a spec may repeat a point).  The report's git_rev is None: this function
-    cannot know which source revision it runs, so a caller that does may set
-    it.
+    Enumerates every tail class and boundary pair per cell; the points are
+    taken in consecutive blocks of kernel.block_points, each recorded by one
+    _sweep_point call (one TV table and one Lemma 1 table) into the one
+    result per check, in point order.  The report's git_rev is None: this
+    function cannot know which source revision it runs, so a caller that does
+    may set it.
     """
     results = {c: CheckResult(name=c.value) for c in spec.checks}
-    bound_checks = bool(spec.checks & BOUND_CHECKS)
-    betas = np.array(spec.beta_grid)
-    step = kernel.block_points(spec.d, len(betas))
+    step = kernel.block_points(spec.d, len(spec.beta_grid))
     for start in range(0, len(spec.points), step):
-        block = spec.points[start : start + step]
-        in_strip = [bound_checks and classify_region(x, y).sub in STRIP_BANDS for x, y in block]
-        strip = [point for point, keep in zip(block, in_strip) if keep]
-        rows = iter(kernel.lemma1_table(spec.d, *zip(*strip), betas) if strip else ())
-        for point, keep in zip(block, in_strip):
-            _sweep_point(spec, point, results, next(rows) if keep else None)
+        _sweep_point(spec, spec.points[start : start + step], results)
     ordered = [results[c] for c in sorted(spec.checks, key=lambda c: c.value)]
     return SweepReport(spec=spec, checks=ordered)
 
@@ -231,8 +229,8 @@ def find_failure_beta(
     # the grid lies between its endpoints, so checking them checks it all
     ModelParams(x=x, y=y, beta=beta_min, d=d)
     ModelParams(x=x, y=y, beta=beta_max, d=d)
-    if n_grid < 2:
-        raise DomainError(f"n_grid must be >= 2, got {n_grid}")
+    if isinstance(n_grid, bool) or not isinstance(n_grid, numbers.Integral) or n_grid < 2:
+        raise DomainError(f"n_grid must be an integer >= 2, got {n_grid!r}")
     if not 0 < beta_min < beta_max:
         raise DomainError(f"need 0 < beta_min < beta_max, got beta_min={beta_min}, beta_max={beta_max}")
     threshold = 1.0 / (2 * d)

@@ -84,6 +84,38 @@ class TestLemma1Points:
         self.assert_cells(d, points, betas, key=canonical_nan_bytes)
 
 
+class TestTVPoints:
+    """tv_table over (points, 1, 1) coordinate arrays equals the stacked
+    one-point tables, bit for bit."""
+
+    @staticmethod
+    def assert_stacked(d, points, betas, key=lambda a: a.tobytes()):
+        xs, ys = (np.array(c)[:, None, None] for c in zip(*points))
+        table = kernel.tv_table(d, xs, ys, betas)
+        assert table.shape == (len(points), len(betas), len(kernel.classes(d).k), 3)
+        want = np.stack([kernel.tv_table(d, x, y, betas) for x, y in points])
+        assert key(table) == key(want)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_many_points_match_stacked(self, d):
+        points, betas = seeded_grid(d)
+        # strip and off-strip points; a repeated point gets its own, equal row
+        points += [(0.0, -2.0), (1.0, 1.0), (0.2, -1.9)] + points[:2]
+        self.assert_stacked(d, points, betas)
+
+    def test_empty_beta_grid(self):
+        points, _ = seeded_grid(2)
+        self.assert_stacked(2, points, np.empty(0))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_overflowing_points_match_inf_nan_pattern(self, d):
+        points = [(1e308, -1e308), (-1e308, 5e307), (-1e308, -1e308), (1e308, 1e308), (0.0, 1e308), (-3.0, 0.5)]
+        betas = np.array([0.0, 1e-3, 0.5, 1.0, 40.0])
+        xs, ys = (np.array(c)[:, None, None] for c in zip(*points))
+        assert np.isnan(kernel.tv_table(d, xs, ys, betas)).any()
+        self.assert_stacked(d, points, betas, key=canonical_nan_bytes)
+
+
 class TestClasses:
     @pytest.mark.parametrize("d", range(1, 13))
     def test_match_tuple_sorted_oracle(self, d):
@@ -199,3 +231,40 @@ class TestSweepPointClassification:
         assert len(points) <= len(classify_calls) <= 2 * len(points)
         for point in set(points):
             assert classify_calls.count(point) <= 2 * points.count(point)
+
+
+class TestSweepBlockCalls:
+    @pytest.fixture
+    def table_calls(self, monkeypatch):
+        """The names of the kernel tables run_sweep builds, one entry per
+        call, in call order."""
+        calls = []
+        for name in ("tv_table", "lemma1_table"):
+            original = getattr(kernel, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(kernel, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("checks", [verify.ALL_CHECKS, verify.BOUND_CHECKS, {verify.Check.DOBRUSHIN_SATISFIED}])
+    @pytest.mark.parametrize("block_cells", [None, 1, 2000])
+    def test_one_tv_and_at_most_one_lemma1_table_per_block(self, table_calls, monkeypatch, checks, block_cells):
+        if block_cells is not None:
+            monkeypatch.setattr(kernel, "_SWEEP_BLOCK_CELLS", block_cells)
+        # strip points and off-strip points, repeated across blocks
+        strip = {(-5.0, 2.0), (-3.0, 0.5), (-1.0, -3.0)}
+        points = ((-5.0, 2.0), (0.0, -2.0), (-3.0, 0.5), (1.0, 1.0), (-1.0, -3.0)) * 3
+        spec = verify.SweepSpec(d=3, points=points, beta_grid=verify.log_beta_grid(), checks=checks)
+        step = kernel.block_points(3, len(spec.beta_grid))
+        blocks = [points[i : i + step] for i in range(0, len(points), step)]
+        verify.run_sweep(spec)
+        # each block: its TV table, then its strip points' Lemma 1 table
+        want = []
+        for block in blocks:
+            want.append("tv_table")
+            if checks & verify.BOUND_CHECKS and strip & set(block):
+                want.append("lemma1_table")
+        assert table_calls == want

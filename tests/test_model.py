@@ -111,6 +111,12 @@ class TestModelParams:
         with pytest.raises(DomainError):
             ModelParams(x=0, y=0, beta=1, d=0)
 
+    @pytest.mark.parametrize("d", [True, False, 2.0, "2"])
+    def test_non_int_dimension_rejected(self, d):
+        # True == 1, but a bool is not a lattice dimension
+        with pytest.raises(DomainError, match="d must be an integer"):
+            ModelParams(x=-3, y=0, beta=1, d=d)
+
     @pytest.mark.parametrize("field", ["x", "y", "beta"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, field, bad):

@@ -35,6 +35,12 @@ class TestSolveTd:
         with pytest.raises(DomainError):
             solve_t_d(0)
 
+    def test_bool_rejected_after_int_cached(self):
+        # True == 1 hashes like 1, so the cache must not answer it
+        solve_t_d(1)
+        with pytest.raises(DomainError, match="d must be an integer"):
+            solve_t_d(True)
+
 
 class TestCurve:
     def test_blume_capel_slice(self):

@@ -73,6 +73,18 @@ class TestSweepSpec:
     def test_dimension_validated(self):
         with pytest.raises(DomainError):
             small_spec(d=0)
+        with pytest.raises(DomainError, match="d must be an integer"):
+            small_spec(d=True)
+
+    @pytest.mark.parametrize("bad", [(1.0, 2.0, 3.0), (1.0,), (), 1.0])
+    def test_malformed_point_rejected(self, bad):
+        with pytest.raises(DomainError) as err:
+            small_spec(points=((-5.0, 2.0), bad))
+        assert str(err.value) == f"sweep point must be an (x, y) pair, got {bad!r}"
+
+    def test_array_points_accepted(self):
+        spec = small_spec(points=np.array([[-5.0, 2.0], [-3.0, 0.0]]))
+        assert spec.points == ((-5.0, 2.0), (-3.0, 0.0))
 
 
 class TestRunSweep:
@@ -495,6 +507,14 @@ class TestFindFailureBeta:
         # or its own endpoint here would misreport the point
         with pytest.raises(DomainError):
             find_failure_beta(2, 0.3, -2.0, **grid)
+
+    @pytest.mark.parametrize("n_grid", [2.5, 120.0, True, "120", None])
+    def test_rejects_non_int_grid_size(self, n_grid):
+        with pytest.raises(DomainError, match="n_grid"):
+            find_failure_beta(2, 0.0, -2.0, n_grid=n_grid)
+
+    def test_numpy_int_grid_size(self):
+        assert find_failure_beta(2, 0.0, -2.0, n_grid=np.int64(120)) == find_failure_beta(2, 0.0, -2.0)
 
     def test_inside_region_never_fails(self):
         assert find_failure_beta(2, -6.0, 0.0) is None
