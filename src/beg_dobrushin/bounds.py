@@ -1,7 +1,8 @@
 """Closed-form bounds on the conditional TV distance: the per-configuration
 theta/psi decomposition, the two boundary-pair case bounds, the region-wide
-exponential bound and its temperature optimum r(t), at one inverse
-temperature or, for the case bounds, over a whole beta grid."""
+exponential bound and its temperature optimum r(t), at one parameter point
+or, for the case bounds, over a block of strip points times a beta grid
+(case_bounds, which returns (points, betas) arrays)."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
+from .kernel import math_map
 from .model import STRIP_BANDS, ModelParams, NeighborConfig, SubRegion, check_spin, classify_region
 
 
@@ -27,12 +29,16 @@ class ExponentPair:
             raise DomainError(f"exponents must be positive, got a={self.a}, b={self.b}")
 
 
-def require_sub_region(x: float, y: float) -> SubRegion:
-    """Sub-region (A, B or C) of a point, or DomainError if outside the strip."""
-    sub = classify_region(x, y).sub
+def _strip_band(sub: SubRegion | None, x: float, y: float) -> SubRegion:
+    """sub, the sub-region of (x, y), or DomainError if it is not A, B or C."""
     if sub not in STRIP_BANDS:
         raise DomainError(f"point (x={x}, y={y}) is outside A|B|C")
     return sub
+
+
+def require_sub_region(x: float, y: float) -> SubRegion:
+    """Sub-region (A, B or C) of a point, or DomainError if outside the strip."""
+    return _strip_band(classify_region(x, y).sub, x, y)
 
 
 def _exp_expm1(e: float, g: float) -> float:
@@ -68,26 +74,28 @@ def band_exponents(sub: SubRegion, d: int, x: float, y: float) -> ExponentPair:
     return ExponentPair(2 * d * abs(x if sub is SubRegion.C else x + y + 1), _rate(y))
 
 
-def _case_terms(sub: SubRegion, d: int, x: float, y: float, beta):
+def _case_terms(sub: SubRegion, d: int, x, y, a, b, beta):
     """(c, e, g) of the Lemma 2, Lemma 3 and Theorem 1 bounds, each
-    c*exp(e)*(1 - exp(g)), of a point in band `sub`, in that order.
+    c*exp(e)*(1 - exp(g)), of points in band `sub` with band_exponents
+    (a, b), in that order.
 
-    beta is one float or a numpy array of them: the exponents are the same
-    IEEE operations either way, so each entry equals its one-beta value.
+    x, y, a and b are floats of one point or (points, 1) columns of them, and
+    beta is one float or an array of them: the exponents are the same IEEE
+    operations either way, so each entry equals its one-point, one-beta value.
     """
-    ep = band_exponents(sub, d, x, y)
-    g = -beta * ep.b  # Lemma 3 and Theorem 1 decay at the same rate b(y)
+    g = -beta * b  # Lemma 3 and Theorem 1 decay at the same rate b(y)
     if sub is SubRegion.C:
         e2, e3 = beta * (2 * d * x + y + 1), 2 * d * beta * x
     else:
         e2 = e3 = beta * (2 * d * x + 2 * d * (y + 1))
-    return (4.0, e2, -2 * beta), (3.0, e3, g), (4.0, -beta * ep.a, g)
+    return (4.0, e2, -2 * beta), (3.0, e3, g), (4.0, -beta * a, g)
 
 
 def _point_terms(params: ModelParams):
     """_case_terms at one parameter point; DomainError outside A|B|C."""
     sub = require_sub_region(params.x, params.y)
-    return _case_terms(sub, params.d, params.x, params.y, params.beta)
+    ep = band_exponents(sub, params.d, params.x, params.y)
+    return _case_terms(sub, params.d, params.x, params.y, ep.a, ep.b, params.beta)
 
 
 def theorem1_bound(params: ModelParams) -> float:
@@ -97,8 +105,13 @@ def theorem1_bound(params: ModelParams) -> float:
 
 def beta_critical(ep: ExponentPair) -> float:
     """Unique maximizer of w(a, b, beta) = 4*exp(-a*beta)*(1 - exp(-b*beta));
-    satisfies exp(-beta_c*b) = a/(a+b)."""
-    return math.log((ep.a + ep.b) / ep.a) / ep.b
+    satisfies exp(-beta_c*b) = a/(a+b).  DomainError if it is not finite."""
+    beta_c = math.log((ep.a + ep.b) / ep.a) / ep.b
+    if not math.isfinite(beta_c):
+        raise DomainError(
+            f"beta_critical is {beta_c!r} for a={ep.a!r}, b={ep.b!r}; a/b or b/a is too large in magnitude"
+        )
+    return beta_c
 
 
 def r_of_t(t: float) -> float:
@@ -177,35 +190,47 @@ def lemma3_bound(params: ModelParams) -> float:
 
 
 class CaseBounds(NamedTuple):
-    """The beta-dependent case bounds of one strip point over a beta grid."""
+    """The beta-dependent case bounds of a block of strip points over a beta
+    grid."""
 
-    lemma2: np.ndarray  # lemma2_bound per beta
-    lemma3: np.ndarray  # lemma3_bound per beta
-    theorem1: np.ndarray  # theorem1_bound per beta
-    r: float  # r_of_t(a / b), free of beta
+    lemma2: np.ndarray  # (points, betas): lemma2_bound per point and beta
+    lemma3: np.ndarray  # (points, betas): lemma3_bound per point and beta
+    theorem1: np.ndarray  # (points, betas): theorem1_bound per point and beta
+    r: np.ndarray  # (points,): r_of_t(a / b) per point, free of beta
 
 
-def case_bounds(d: int, x: float, y: float, betas: np.ndarray) -> CaseBounds:
-    """Lemma 2, Lemma 3 and Theorem 1 bounds for every beta of a grid, and
-    r(a/b); bit-for-bit the scalar bounds.
+def case_bounds(d: int, points, bands, betas: np.ndarray) -> CaseBounds:
+    """Lemma 2, Lemma 3 and Theorem 1 bounds of a block of strip points
+    (x, y) for every beta of a grid, shape (points, betas), and r(a/b) per
+    point; bit-for-bit the scalar bounds.
 
-    The point is classified once and the exponents are formed for the whole
-    grid by _case_terms; only math.exp and math.expm1 run per beta, in one
-    loop, with the factor 1 - exp(g) that Lemma 3 and Theorem 1 share taken
-    once.  Raises DomainError outside A|B|C.
+    bands[i] is the band (A, B or C) of points[i], as classify_region gives
+    it; DomainError if one is not.  band_exponents and r_of_t run once per
+    point, then _case_terms once per band, with the band's x, y, a and b as
+    columns.  math.exp and math.expm1 then run over whole arrays, each once
+    per distinct input: 1 - exp(-2 beta) of Lemma 2 once per band and beta, the
+    factor 1 - exp(g) that Lemma 3 and Theorem 1 share once per cell, and in
+    bands A and B, where Lemma 2 and Lemma 3 share their exponent e, exp(e)
+    once per cell.
     """
-    sub = require_sub_region(x, y)
-    ep = band_exponents(sub, d, x, y)
+    betas = np.asarray(betas, dtype=np.float64)
+    eps = [band_exponents(_strip_band(sub, x, y), d, x, y) for (x, y), sub in zip(points, bands)]
+    columns = np.array([(x, y, ep.a, ep.b) for (x, y), ep in zip(points, eps)], dtype=np.float64).reshape(-1, 4)
+    out = CaseBounds(*(np.empty((len(points), len(betas))) for _ in range(3)), np.empty(len(points)))
+    out.r[:] = [r_of_t(ep.a / ep.b) for ep in eps]
     with np.errstate(over="ignore", invalid="ignore"):
-        (c2, e2, g2), (c3, e3, g), (c1, e1, _) = _case_terms(sub, d, x, y, np.asarray(betas, dtype=np.float64))
-    lemma2, lemma3, theorem1 = [], [], []
-    for u2, v2, u3, u1, v in zip(e2.tolist(), g2.tolist(), e3.tolist(), e1.tolist(), g.tolist()):
-        f = -math.expm1(v)  # _decay's factor, as c * exp(e) * f
-        lemma2.append(_decay(c2, u2, v2))
-        lemma3.append(c3 * math.exp(u3) * f)
-        theorem1.append(c1 * math.exp(u1) * f)
-    decays = (np.array(values, dtype=np.float64) for values in (lemma2, lemma3, theorem1))
-    return CaseBounds(*decays, r_of_t(ep.a / ep.b))
+        for sub in STRIP_BANDS:
+            rows = [i for i, band in enumerate(bands) if band is sub]
+            if not rows:
+                continue
+            x, y, a, b = columns[rows].T[:, :, None]
+            (c2, e2, g2), (c3, e3, g), (c1, e1, _) = _case_terms(sub, d, x, y, a, b, betas)
+            f = -math_map(math.expm1, g)  # _decay's factor, as c * exp(e) * f
+            exp2 = math_map(math.exp, e2)
+            out.lemma2[rows] = c2 * exp2 * -math_map(math.expm1, g2)
+            out.lemma3[rows] = c3 * (exp2 if e3 is e2 else math_map(math.exp, e3)) * f
+            out.theorem1[rows] = c1 * math_map(math.exp, e1) * f
+    return out
 
 
 def _check_k(params: ModelParams, k: int) -> None:

@@ -3,11 +3,15 @@ for every inverse temperature of a grid at once, the exact TV distances and
 the Lemma 1 bounds over (point, beta, class, boundary pair).
 
 Tables have shape (len(betas), len(classes(d).k), len(PAIR_ORDER)), with a
-leading points axis for lemma1_table and for tv_table over many points.  Each
-(point, beta) slice is computed with the same floating-point operations, in
-the same order, as a single-point, single-beta evaluation, so batching never
-changes a value.  Overflow to inf or nan raises no numpy warning here: the
-callers turn a non-finite result into one DomainError.
+leading points axis for lemma1_table and for tv_table over many points.
+tv_table evaluates on (betas, classes) planes, one per spin and pair;
+lemma1_table evaluates on a (pairs, classes, points, betas) layout, so its
+numpy loops run along the beta grid, and returns the values in C order of
+(points, betas, classes, pairs).  Each (point, beta) slice is computed with
+the same floating-point operations, in the same order, as a single-point,
+single-beta evaluation, so batching never changes a value.  Overflow to inf
+or nan raises no numpy warning here: the callers turn a non-finite result
+into one DomainError.
 """
 
 from __future__ import annotations
@@ -112,26 +116,34 @@ def tv_table(d: int, x: float | np.ndarray, y: float | np.ndarray, betas: np.nda
         return out
 
 
-# sigma_1, sigma_1~^2 - sigma_1^2 and sigma_1~ - sigma_1 of each PAIR_ORDER pair
-_S1 = np.array([s1 for s1, _ in PAIR_ORDER], dtype=np.float64)
-_DSQ = np.array([st * st - s1 * s1 for s1, st in PAIR_ORDER], dtype=np.float64)
-_STEP = np.array([st - s1 for s1, st in PAIR_ORDER], dtype=np.float64)
+# sigma_1, sigma_1~^2 - sigma_1^2 and sigma_1~ - sigma_1 of each PAIR_ORDER
+# pair, shape (pairs, 1, 1, 1): the leading axis of lemma1_table's layout
+_S1 = np.array([s1 for s1, _ in PAIR_ORDER], dtype=np.float64)[:, None, None, None]
+_DSQ = np.array([st * st - s1 * s1 for s1, st in PAIR_ORDER], dtype=np.float64)[:, None, None, None]
+_STEP = np.array([st - s1 for s1, st in PAIR_ORDER], dtype=np.float64)[:, None, None, None]
 
 
 @lru_cache(maxsize=None)
 def _pair_stats(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """sigma^2 = k + sigma_1^2 and sigma_1 + n per class and pair, shape
-    (classes, pairs) (read-only, shared by every caller)."""
+    """sigma^2 = k + sigma_1^2 and sigma_1 + n per pair and class, shape
+    (pairs, classes, 1, 1) (read-only, shared by every caller)."""
     k, n, _ = classes(d)
-    stats = k[:, None] + _S1 * _S1, _S1 + n[:, None]
+    stats = k[:, None, None] + _S1 * _S1, _S1 + n[:, None, None]
     for a in stats:
         a.flags.writeable = False
     return stats
 
 
+def math_map(fn, a: np.ndarray) -> np.ndarray:
+    """fn, a math function such as math.exp, of every entry of a, in a's
+    shape: the scalar function's values bit for bit, where numpy's own ufunc
+    may differ in the last bit."""
+    return np.fromiter(map(fn, a.ravel().tolist()), np.float64, a.size).reshape(a.shape)
+
+
 def _neg_expm1(a: np.ndarray) -> np.ndarray:
     """1 - exp(a) per entry, by math.expm1 as the scalar bounds take it."""
-    return np.array([-math.expm1(v) for v in a.ravel().tolist()]).reshape(a.shape)
+    return -math_map(math.expm1, a)
 
 
 def lemma1_table(d: int, xs: np.ndarray, ys: np.ndarray, betas: np.ndarray) -> np.ndarray:
@@ -139,42 +151,41 @@ def lemma1_table(d: int, xs: np.ndarray, ys: np.ndarray, betas: np.ndarray) -> n
     class and normalized pair, shape (points, betas, classes, pairs);
     vectorized mirror of bounds.lemma1_bound.
 
-    All points and pairs are evaluated at once, with each pair's sigma_1 terms
-    as length-3 vectors; every entry repeats the single-pair operations in the
-    same order.  Of the nine factors 1 - exp(-|e|) per (point, beta) (psi's
-    and both thetas' for each pair), math.expm1 takes only the six whose
-    inputs can differ: psi's of (-1, +1) and (0, 1), which depend on beta
-    alone; both thetas' of (-1, +1); and the s = -1 theta's of (0, 1) and
-    (0, -1).  The other three repeat one of these as the same IEEE
-    expression: psi's |g| is |b| for both (0, +-1) pairs, and their e_pair
-    is the same b*y, so the s = +1 theta of either is the s = -1 theta of the
-    other ((-b)*(-1) = b and b*(-1) = -b).
+    All points and pairs are evaluated at once, on a (pairs, classes, points,
+    betas) layout, so every numpy loop runs along the beta grid; the result
+    is that table transposed and copied into C order.  Every entry repeats
+    the single-pair operations in the same order.  Of the nine factors
+    1 - exp(-|e|) per (point, beta) (psi's and both thetas' for each pair),
+    math.expm1 takes only the six whose inputs can differ: psi's of (-1, +1)
+    and (0, 1), which depend on beta alone; both thetas' of (-1, +1); and the
+    s = -1 theta's of (0, 1) and (0, -1).  The other three repeat one of
+    these as the same IEEE expression: psi's |g| is |b| for both (0, +-1)
+    pairs, and their e_pair is the same b*y, so the s = +1 theta of either is
+    the s = -1 theta of the other ((-b)*(-1) = b and b*(-1) = -b).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         sig2, s1_n = _pair_stats(d)
-        b = np.asarray(betas, dtype=np.float64)[:, None]
-        x = np.asarray(xs, dtype=np.float64)[:, None, None, None]
-        y = np.asarray(ys, dtype=np.float64)[:, None, None]
-        # |g| (betas, pairs); the psi exponent's pair term and e_inner for
-        # s = -1, +1 (points, betas, pairs)
+        b = np.asarray(betas, dtype=np.float64)
+        x = np.asarray(xs, dtype=np.float64)[:, None]
+        y = np.asarray(ys, dtype=np.float64)[:, None]
+        # |g| (pairs, 1, 1, betas); the psi exponent's pair term and e_inner
+        # for s = -1, +1 (pairs, 1, points, betas)
         g = np.abs(b * _STEP)
         e_pair = b * y * _DSQ
         e_inner = (e_pair + -b * _STEP, e_pair + b * _STEP)
-        f_psi = _neg_expm1(-2 * g[:, :2])[:, [0, 1, 1]]
+        f_psi = _neg_expm1(-2 * g[:2])[[0, 1, 1]]
         f_minus = _neg_expm1(-np.abs(e_inner[0]))
-        f_plus = np.concatenate((_neg_expm1(-np.abs(e_inner[1][:, :, :1])), f_minus[:, :, :0:-1]), axis=2)
-        b = b[:, :, None]
-        y = y[:, :, :, None]
+        f_plus = np.concatenate((_neg_expm1(-np.abs(e_inner[1][:1])), f_minus[:0:-1]))
         e_prefix = b * (2 * d * x + y * sig2)
-        e_psi = b * (4 * d * x + 2 * y * sig2) + e_pair[:, :, None, :]
-        out = np.exp(e_psi + g[:, None, :])
-        out *= f_psi[:, None, :]
+        e_psi = b * (4 * d * x + 2 * y * sig2) + e_pair
+        out = np.exp(e_psi + g)
+        out *= f_psi
         for s, e, f in ((-b, e_inner[0], f_minus), (b, e_inner[1], f_plus)):
             # |exp(e) - 1| = exp(max(e, 0)) * (1 - exp(-|e|))
-            term = np.exp(e_prefix + s * s1_n + np.maximum(e, 0.0)[:, :, None, :])
-            term *= f[:, :, None, :]
+            term = np.exp(e_prefix + s * s1_n + np.maximum(e, 0.0))
+            term *= f
             out += term
-        return out
+        return np.ascontiguousarray(out.transpose(2, 3, 1, 0))
 
 
 def first_max(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -3,9 +3,11 @@ membership tests, and the Blume-Capel critical coupling."""
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .bounds import r_of_t
+from .errors import DomainError
 from .model import STRIP_BANDS, check_dimension, check_finite, classify_region
 
 _BISECT_TOL = 1e-12
@@ -30,9 +32,8 @@ def solve_t_d(d: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def curve_x(d: int, y: float) -> float:
-    """The polygonal uniqueness boundary x(d, y) solving a(d, x, y)/b(y) = t_d."""
-    check_finite("y", y)
+def _curve_x(d: int, y: float) -> float:
+    """curve_x for finite y, -inf where it overflows."""
     t = solve_t_d(d)
     if y >= 1:
         return -((t + 2 * d) / (2 * d)) * (y + 1)
@@ -41,13 +42,23 @@ def curve_x(d: int, y: float) -> float:
     return -(d * (y + 1) + t) / d
 
 
+def curve_x(d: int, y: float) -> float:
+    """The polygonal uniqueness boundary x(d, y) solving a(d, x, y)/b(y) = t_d;
+    DomainError if it overflows."""
+    x = _curve_x(d, check_finite("y", y))
+    if not math.isfinite(x):
+        raise DomainError(f"curve x is {x!r} at y={y!r} (d = {d}); y is too large in magnitude")
+    return x
+
+
 def in_dobrushin_region(d: int, x: float, y: float) -> bool:
     """True iff (x, y) lies in A|B|C and strictly left of the boundary curve,
-    i.e. the optimized bound beats the 1/(2d) threshold for every temperature."""
+    i.e. the optimized bound beats the 1/(2d) threshold for every temperature.
+    Where the curve overflows to -inf, no finite x lies left of it."""
     sub = classify_region(x, y).sub
     if sub not in STRIP_BANDS:
         return False
-    return x < curve_x(d, y)
+    return x < _curve_x(d, y)
 
 
 def blume_capel_xc(d: int) -> float:

@@ -111,11 +111,14 @@ class SweepReport:
 def _sweep_point(spec: SweepSpec, points: tuple[tuple[float, float], ...], results: dict[Check, CheckResult]) -> None:
     """Record every requested check at a block of points, over the whole beta
     grid at once, into the sweep's results: one TV table serves the block,
-    and one Lemma 1 table its strip points if bound checks are requested."""
+    and one Lemma 1 table and one case_bounds call its strip points if bound
+    checks are requested (each point is then classified once)."""
     d = spec.d
     requested_bound_checks = spec.checks & BOUND_CHECKS
-    in_strip = [bool(requested_bound_checks) and classify_region(x, y).sub in STRIP_BANDS for x, y in points]
+    bands = [classify_region(x, y).sub if requested_bound_checks else None for x, y in points]
+    in_strip = [band in STRIP_BANDS for band in bands]
     strip = [point for point, keep in zip(points, in_strip) if keep]
+    strip_bands = [band for band in bands if band in STRIP_BANDS]
     for c in requested_bound_checks:
         results[c].unclassifiable += [point for point, keep in zip(points, in_strip) if not keep]
     if not spec.beta_grid:
@@ -161,7 +164,7 @@ def _sweep_point(spec: SweepSpec, points: tuple[tuple[float, float], ...], resul
     if strip:
         l1 = kernel.lemma1_table(d, *zip(*strip), betas)
         # per-(point, beta) case bounds, broadcast over (class, pair)
-        lemma2, lemma3, t1, r = (np.array(v) for v in zip(*(bounds.case_bounds(d, x, y, betas) for x, y in strip)))
+        lemma2, lemma3, t1, r = bounds.case_bounds(d, strip, strip_bands, betas)
         l2 = lemma2[:, :, None, None]
         l3 = lemma3[:, :, None, None]
         # a failing class cell stands for every tail of its class
@@ -191,10 +194,10 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
 
     Enumerates every tail class and boundary pair per cell; the points are
     taken in consecutive blocks of kernel.block_points, each recorded by one
-    _sweep_point call (one TV table and one Lemma 1 table) into the one
-    result per check, in point order.  The report's git_rev is None: this
-    function cannot know which source revision it runs, so a caller that does
-    may set it.
+    _sweep_point call (one TV table, one Lemma 1 table and one case_bounds
+    call) into the one result per check, in point order.  The report's
+    git_rev is None: this function cannot know which source revision it
+    runs, so a caller that does may set it.
     """
     results = {c: CheckResult(name=c.value) for c in spec.checks}
     step = kernel.block_points(spec.d, len(spec.beta_grid))

@@ -107,6 +107,16 @@ class TestBetaCritical:
             values = 4 * np.exp(-a * grid) * (1 - np.exp(-b * grid))
             assert float(values.max()) <= w(a, b, bc) + 1e-12
 
+    def test_tiny_a_overflowing_to_inf_raises(self):
+        # (a + b) / a overflows to inf
+        with pytest.raises(DomainError, match="beta_critical is inf .* too large in magnitude"):
+            beta_critical(ExponentPair(5e-324, 1.0))
+
+    def test_infinite_a_giving_nan_raises(self):
+        # (a + b) / a is inf / inf = nan
+        with pytest.raises(DomainError, match="beta_critical is nan .* too large in magnitude"):
+            beta_critical(ExponentPair(math.inf, 1.0))
+
 
 class TestTheorem1Bound:
     def test_vanishes_at_extremes(self):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import beg_dobrushin
 from beg_dobrushin import ModelParams, verify
 from beg_dobrushin.cli import main
-from conftest import class_loop_max_tv
+from conftest import class_loop_max_tv, numpy_exp_is_math_exp
 
 
 def run_cli(capsys, *argv):
@@ -240,11 +240,22 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
 
+    # Each pinned digest below is recorded for both of numpy's exp paths and
+    # chosen by numpy_exp_is_math_exp(): False on numpy's AVX-512 exp kernel,
+    # True where np.exp is the C library's exp, as math.exp is.
+
     # sha256 of the `checks` block of `begdob verify -d D --seed 2026`
     CHECKS_SHA256 = {
-        1: "4d512c2107a447265768575e4f4af1b3fcbd3ad24bc7112504be93eb86578286",
-        2: "09fb1d9b805dc652e02115561bf42d9213735b52aa8492463ef456344fd58da8",
-        3: "d623ecd3d99cd3ebbdf88128d7c5f2237848e9a423735995dc73556c3981de48",
+        False: {
+            1: "4d512c2107a447265768575e4f4af1b3fcbd3ad24bc7112504be93eb86578286",
+            2: "09fb1d9b805dc652e02115561bf42d9213735b52aa8492463ef456344fd58da8",
+            3: "d623ecd3d99cd3ebbdf88128d7c5f2237848e9a423735995dc73556c3981de48",
+        },
+        True: {
+            1: "4d512c2107a447265768575e4f4af1b3fcbd3ad24bc7112504be93eb86578286",
+            2: "09fb1d9b805dc652e02115561bf42d9213735b52aa8492463ef456344fd58da8",
+            3: "4cca883061840d544a27e2174efd74c7f0b19c8fc548f05bf1c17f7304176c08",
+        },
     }
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -253,30 +264,44 @@ class TestVerifyCommand:
         assert code == 0
         checks = json.loads(out)["checks"]
         digest = hashlib.sha256(json.dumps(checks, sort_keys=True, indent=2).encode()).hexdigest()
-        assert digest == self.CHECKS_SHA256[d]
+        assert digest == self.CHECKS_SHA256[numpy_exp_is_math_exp()][d]
 
     ALL_CHECKS = "TVvsLemma1,Lemma1vsLemma2,Lemma1vsLemma3,AllvsTheorem1,DobrushinSatisfied"
 
     # sha256 of the whole stdout of `begdob verify -d D --checks <all five>`
     FULL_SHA256 = {
-        1: "fe343f140c35e11b655ec703a20c77bbf9679a12dbecdae05686abc9c74e4ad3",
-        2: "edaa3502cb39da8a390eb0641a1af594a7d2440d8a41150c0b72b0dabd051328",
-        3: "aad26aed52f0a2ad47d823338baf5db8a7184aed9a6e68b419821e64d82f35ec",
+        False: {
+            1: "fe343f140c35e11b655ec703a20c77bbf9679a12dbecdae05686abc9c74e4ad3",
+            2: "edaa3502cb39da8a390eb0641a1af594a7d2440d8a41150c0b72b0dabd051328",
+            3: "aad26aed52f0a2ad47d823338baf5db8a7184aed9a6e68b419821e64d82f35ec",
+        },
+        True: {
+            1: "76716905b3901c3e61da285700b6b1d7414c04828ef8670adb5c5fa13cdeb897",
+            2: "46311a13874b7838d2100b94cc7205652e83b979eeae8cf88430ed61f0d4067e",
+            3: "34a8b8d21bfe724b7b780cfe0d6869b2f79effcc92fb4c042a7577bebd2f0bf4",
+        },
     }
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_all_checks_report_is_pinned(self, capsys, d):
         code, out, _ = run_cli(capsys, "verify", "-d", str(d), "--checks", self.ALL_CHECKS)
         assert code == 1  # DobrushinSatisfied fails right of the curve
-        assert hashlib.sha256(out.encode()).hexdigest() == self.FULL_SHA256[d]
+        assert hashlib.sha256(out.encode()).hexdigest() == self.FULL_SHA256[numpy_exp_is_math_exp()][d]
 
     # sha256 of the report `begdob verify` writes for all five checks on a
     # linear grid from beta = 0, at the default points and three points outside
     # the strip (the command-line grid is logarithmic, so the spec is built here)
     ZERO_GRID_SHA256 = {
-        1: "fd418f6d3947abb102db73a86458ef50709dc7edc2b826eb7ae44364daa6e540",
-        2: "e8bcfc2d5a12724c853deaa04fb0f9b1ff1de644c3fc90eba84985fae8f1becb",
-        3: "c64f1ba3c8c2d10972cffabc118135a5e938c754255f6daa802c265a38959819",
+        False: {
+            1: "fd418f6d3947abb102db73a86458ef50709dc7edc2b826eb7ae44364daa6e540",
+            2: "e8bcfc2d5a12724c853deaa04fb0f9b1ff1de644c3fc90eba84985fae8f1becb",
+            3: "c64f1ba3c8c2d10972cffabc118135a5e938c754255f6daa802c265a38959819",
+        },
+        True: {
+            1: "fd418f6d3947abb102db73a86458ef50709dc7edc2b826eb7ae44364daa6e540",
+            2: "f63923a1fd861edd97f34f8199575f5486686ffed2c62a3d45385ed12829fd10",
+            3: "c64f1ba3c8c2d10972cffabc118135a5e938c754255f6daa802c265a38959819",
+        },
     }
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -288,7 +313,7 @@ class TestVerifyCommand:
             checks=verify.ALL_CHECKS,
         )
         text = verify.run_sweep(spec).to_json() + "\n"
-        assert hashlib.sha256(text.encode()).hexdigest() == self.ZERO_GRID_SHA256[d]
+        assert hashlib.sha256(text.encode()).hexdigest() == self.ZERO_GRID_SHA256[numpy_exp_is_math_exp()][d]
 
 
 class TestNonFiniteInput:

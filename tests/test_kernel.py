@@ -1,3 +1,4 @@
+import math
 import random
 import struct
 import sys
@@ -163,39 +164,59 @@ def bits(values) -> bytes:
     return struct.pack(f"{len(values)}d", *values)
 
 
+def block_bands(points):
+    """The band of each point, as the sweep passes it to bounds.case_bounds."""
+    return [model.classify_region(x, y).sub for x, y in points]
+
+
 class TestCaseBounds:
+    """bounds.case_bounds over one block of points, the bands mixed, equals
+    the scalar bounds at every (point, beta), bit for bit."""
+
+    @staticmethod
+    def assert_scalar_bits(d, points, betas):
+        cases = bounds.case_bounds(d, points, block_bands(points), betas)
+        assert cases.lemma2.shape == cases.lemma3.shape == cases.theorem1.shape == (len(points), len(betas))
+        assert cases.r.shape == (len(points),)
+        for i, (x, y) in enumerate(points):
+            params = [ModelParams(x=x, y=y, beta=beta, d=d) for beta in betas.tolist()]
+            assert cases.lemma2[i].tobytes() == bits([bounds.lemma2_bound(p) for p in params]), (x, y)
+            assert cases.lemma3[i].tobytes() == bits([bounds.lemma3_bound(p) for p in params]), (x, y)
+            assert cases.theorem1[i].tobytes() == bits([bounds.theorem1_bound(p) for p in params]), (x, y)
+            ep = bounds.exponents(ModelParams(x=x, y=y, beta=0.0, d=d))
+            assert cases.r[i : i + 1].tobytes() == bits([bounds.r_of_t(ep.a / ep.b)]), (x, y)
+
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_equal_to_scalar_bounds_bit_for_bit(self, d):
+        # bands A, B, C, A, B, C, then the band edges y = 1 (A) and y = -1 (C);
+        # the grid starts at beta = 0
         points, betas = seeded_grid(d)
-        for x, y in points:
-            cases = bounds.case_bounds(d, x, y, betas)
-            params = [ModelParams(x=x, y=y, beta=beta, d=d) for beta in betas.tolist()]
-            assert cases.lemma2.tobytes() == bits([bounds.lemma2_bound(p) for p in params])
-            assert cases.lemma3.tobytes() == bits([bounds.lemma3_bound(p) for p in params])
-            assert cases.theorem1.tobytes() == bits([bounds.theorem1_bound(p) for p in params])
-            ep = bounds.exponents(params[0])
-            assert bits([cases.r]) == bits([bounds.r_of_t(ep.a / ep.b)])
+        points += [(-4.0, 1.0), (-2.5, -0.5), (-4.0, -1.0)]
+        assert betas[0] == 0.0
+        self.assert_scalar_bits(d, points, betas)
 
     def test_band_edges(self):
         # y = 1 is in A and y = -1 in C; beta = 0 gives exact zeros
-        betas = np.array([0.0, 0.3, 7.0])
-        for x, y in ((-4.0, 1.0), (-4.0, -1.0), (-4.0, 0.999)):
-            cases = bounds.case_bounds(3, x, y, betas)
-            params = [ModelParams(x=x, y=y, beta=beta, d=3) for beta in betas.tolist()]
-            assert cases.lemma3.tobytes() == bits([bounds.lemma3_bound(p) for p in params])
+        points = [(-4.0, 1.0), (-4.0, -1.0), (-4.0, 0.999), (-4.0, math.nextafter(1.0, 0.0))]
+        self.assert_scalar_bits(3, points, np.array([0.0, 0.3, 7.0]))
 
     @pytest.mark.parametrize("point", [(1.0, 1.0), (0.0, -2.0), (-0.5, 0.0), (-2.0, 1.0)])
     def test_outside_strip_raises_like_scalar(self, point):
         x, y = point
         with pytest.raises(DomainError) as scalar:
             bounds.lemma2_bound(ModelParams(x=x, y=y, beta=1.0, d=2))
+        block = [(-3.0, 0.5), point]
         with pytest.raises(DomainError) as batched:
-            bounds.case_bounds(2, x, y, np.array([1.0]))
+            bounds.case_bounds(2, block, block_bands(block), np.array([1.0]))
         assert str(batched.value) == str(scalar.value)
 
     def test_empty_beta_grid(self):
-        cases = bounds.case_bounds(2, -3.0, 0.5, np.empty(0))
-        assert len(cases.lemma2) == len(cases.lemma3) == len(cases.theorem1) == 0
+        self.assert_scalar_bits(2, [(-3.0, 0.5), (-5.0, 2.0), (-1.0, -3.0)], np.empty(0))
+
+    def test_empty_block(self):
+        cases = bounds.case_bounds(2, [], [], np.array([0.0, 1.0]))
+        assert cases.lemma2.shape == cases.lemma3.shape == cases.theorem1.shape == (0, 2)
+        assert cases.r.shape == (0,)
 
 
 class TestSweepPointClassification:
@@ -215,38 +236,44 @@ class TestSweepPointClassification:
                 monkeypatch.setattr(module, "classify_region", counting)
         return calls
 
+    # each asserts once per point: the band found for the Lemma 1 table also
+    # serves case_bounds
     @pytest.mark.parametrize("point", [(-5.0, 2.0), (-3.0, 0.5), (-1.0, -3.0), (0.0, -2.0)])
     def test_classifies_at_most_twice_per_point(self, point, classify_calls):
         spec = verify.SweepSpec(
             d=2, points=(point,), beta_grid=verify.log_beta_grid(), checks=verify.ALL_CHECKS
         )
         verify.run_sweep(spec)
-        assert 1 <= len(classify_calls) <= 2
+        assert classify_calls == [point]
 
     def test_classifies_at_most_twice_per_point_across_blocks(self, classify_calls):
         points = ((-5.0, 2.0), (-3.0, 0.5), (-1.0, -3.0), (0.0, -2.0)) * 4
         spec = verify.SweepSpec(d=3, points=points, beta_grid=verify.log_beta_grid(), checks=verify.ALL_CHECKS)
         assert kernel.block_points(3, len(spec.beta_grid)) < len(points)
         verify.run_sweep(spec)
-        assert len(points) <= len(classify_calls) <= 2 * len(points)
-        for point in set(points):
-            assert classify_calls.count(point) <= 2 * points.count(point)
+        assert classify_calls == list(points)
+
+    def test_no_classification_without_bound_checks(self, classify_calls):
+        points = ((-5.0, 2.0), (0.0, -2.0))
+        checks = {verify.Check.DOBRUSHIN_SATISFIED}
+        verify.run_sweep(verify.SweepSpec(d=2, points=points, beta_grid=(0.5, 1.0), checks=checks))
+        assert classify_calls == []
 
 
 class TestSweepBlockCalls:
     @pytest.fixture
     def table_calls(self, monkeypatch):
-        """The names of the kernel tables run_sweep builds, one entry per
-        call, in call order."""
+        """The names of the kernel tables and bounds.case_bounds calls that
+        run_sweep makes, one entry per call, in call order."""
         calls = []
-        for name in ("tv_table", "lemma1_table"):
-            original = getattr(kernel, name)
+        for module, name in ((kernel, "tv_table"), (kernel, "lemma1_table"), (bounds, "case_bounds")):
+            original = getattr(module, name)
 
             def counting(*args, _name=name, _original=original):
                 calls.append(_name)
                 return _original(*args)
 
-            monkeypatch.setattr(kernel, name, counting)
+            monkeypatch.setattr(module, name, counting)
         return calls
 
     @pytest.mark.parametrize("checks", [verify.ALL_CHECKS, verify.BOUND_CHECKS, {verify.Check.DOBRUSHIN_SATISFIED}])
@@ -261,10 +288,11 @@ class TestSweepBlockCalls:
         step = kernel.block_points(3, len(spec.beta_grid))
         blocks = [points[i : i + step] for i in range(0, len(points), step)]
         verify.run_sweep(spec)
-        # each block: its TV table, then its strip points' Lemma 1 table
+        # each block: its TV table, then its strip points' Lemma 1 table and
+        # case bounds
         want = []
         for block in blocks:
             want.append("tv_table")
             if checks & verify.BOUND_CHECKS and strip & set(block):
-                want.append("lemma1_table")
+                want += ["lemma1_table", "case_bounds"]
         assert table_calls == want

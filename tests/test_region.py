@@ -15,6 +15,7 @@ from beg_dobrushin import (
     solve_t_d,
 )
 from beg_dobrushin.bounds import require_sub_region
+from beg_dobrushin.model import SubRegion
 
 from conftest import point_in_band
 
@@ -66,8 +67,22 @@ class TestCurve:
         with pytest.raises(DomainError, match="y must be finite"):
             curve_x(2, bad)
 
+    def test_overflow_raises(self):
+        # -((t + 4) / 4) * (1e308 + 1) is below -max float
+        with pytest.raises(DomainError, match="curve x is -inf at y=1e\\+308 .* too large in magnitude"):
+            curve_x(2, 1e308)
+
+    def test_finite_near_float_limit(self):
+        # the y <= -1 branch, -(t / 4) * (|y| + 1), stays finite at y = -1e308
+        assert curve_x(2, -1e308) == -(solve_t_d(2) / 4) * (1e308 + 1)
+
 
 class TestMembership:
+    def test_false_where_curve_overflows(self):
+        # a band-A point whose curve x is -inf: no finite x lies left of it
+        assert require_sub_region(-1.7e308, 1e308) is SubRegion.A
+        assert not in_dobrushin_region(2, -1.7e308, 1e308)
+
     def test_examples(self):
         assert in_dobrushin_region(2, -6, 0)
         assert not in_dobrushin_region(2, -3, 0)

@@ -226,14 +226,15 @@ class TestRunSweep:
 def per_cell_results(spec):
     """Every check of a sweep recorded one cell at a time through
     sequential_record, in point, beta, class, pair order, from per-beta
-    values: the per-cell tables, bounds.case_bounds at one beta and
-    exact_max_tv."""
+    values: the per-cell tables, bounds.case_bounds at one point and beta,
+    and exact_max_tv."""
     cells = {c: [] for c in spec.checks}
     unclassifiable = []
     tails, mult = class_tails(spec.d), kernel.classes(spec.d).mult
     for point in spec.points:
         x, y = point
-        in_strip = classify_region(x, y).sub in (SubRegion.A, SubRegion.B, SubRegion.C)
+        band = classify_region(x, y).sub
+        in_strip = band in (SubRegion.A, SubRegion.B, SubRegion.C)
         if not in_strip:
             unclassifiable.append(point)
         for beta in spec.beta_grid:
@@ -248,8 +249,8 @@ def per_cell_results(spec):
                 continue
             tv = cell_tv_table(params, tails).tolist()
             l1 = cell_lemma1_table(params, tails).tolist()
-            cases = bounds.case_bounds(spec.d, x, y, np.array([beta]))
-            l2, l3, t1 = cases.lemma2[0], cases.lemma3[0], cases.theorem1[0]
+            cases = bounds.case_bounds(spec.d, [point], [band], np.array([beta]))
+            l2, l3, t1 = cases.lemma2[0, 0], cases.lemma3[0, 0], cases.theorem1[0, 0]
             for ti, tail in enumerate(tails.tolist()):
                 for ci, pair in enumerate(PAIR_ORDER):
                     # Lemma 2 bounds the equal-magnitude pair PAIR_ORDER[0], Lemma 3 the rest
@@ -260,7 +261,7 @@ def per_cell_results(spec):
                             witness = Witness(point, beta, tuple(tail), pair, slack)
                             cells[check].append((slack, witness, mult[ti]))
             if Check.ALL_VS_THEOREM1 in spec.checks:
-                for slack in (t1 - l2, t1 - l3, cases.r - t1):
+                for slack in (t1 - l2, t1 - l3, cases.r[0] - t1):
                     slack = float(slack)
                     cells[Check.ALL_VS_THEOREM1].append((slack, Witness(point, beta, None, None, slack), 1))
     results = {}
@@ -286,17 +287,19 @@ class TestArrayRecording:
 
     @staticmethod
     def fake_case_bounds(values, r):
-        """A bounds.case_bounds stand-in whose per-beta (lemma2, lemma3,
-        theorem1) are drawn from values, seeded by (x, y, beta) alone, so a
-        one-beta call agrees with the whole-grid call."""
+        """A bounds.case_bounds stand-in whose per-(point, beta) (lemma2,
+        lemma3, theorem1) are drawn from values, seeded by (x, y, beta) alone,
+        so a one-point, one-beta call agrees with the whole-block call."""
 
-        def case_bounds(d, x, y, betas):
-            rows = []
-            for beta in np.asarray(betas).tolist():
-                draw = random.Random(f"{x} {y} {beta}")
-                rows.append([draw.choice(values) for _ in range(3)])
-            l2, l3, t1 = np.array(rows, dtype=np.float64).reshape(-1, 3).T
-            return CaseBounds(l2.copy(), l3.copy(), t1.copy(), r)
+        def case_bounds(d, points, bands, betas):
+            cells = []
+            for x, y in points:
+                for beta in np.asarray(betas).tolist():
+                    draw = random.Random(f"{x} {y} {beta}")
+                    cells.append([draw.choice(values) for _ in range(3)])
+            table = np.array(cells, dtype=np.float64).reshape(len(points), len(betas), 3)
+            l2, l3, t1 = np.moveaxis(table, 2, 0)
+            return CaseBounds(l2.copy(), l3.copy(), t1.copy(), np.full(len(points), r))
 
         return case_bounds
 
@@ -312,9 +315,10 @@ class TestArrayRecording:
     def test_sign_of_zero_worst_slack(self, first, later, monkeypatch):
         # Theorem 1 - Lemma 2 is 0.0 - 0.0 = 0.0 or -0.0 - 0.0 = -0.0: the
         # worst slack is the first zero, with its sign
-        def case_bounds(d, x, y, betas):
-            t1 = np.array([first if beta < 1.0 else later for beta in np.asarray(betas).tolist()])
-            return CaseBounds(np.zeros(len(t1)), np.zeros(len(t1)), t1, 1.0)
+        def case_bounds(d, points, bands, betas):
+            row = [first if beta < 1.0 else later for beta in np.asarray(betas).tolist()]
+            t1 = np.array([row] * len(points), dtype=np.float64).reshape(len(points), len(betas))
+            return CaseBounds(np.zeros(t1.shape), np.zeros(t1.shape), t1, np.ones(len(points)))
 
         monkeypatch.setattr(bounds, "case_bounds", case_bounds)
         spec = small_spec(beta_grid=log_beta_grid(), checks=frozenset({Check.ALL_VS_THEOREM1}))
