@@ -19,12 +19,19 @@ BOUNDARY_TOL = 1e-12
 _ENERGY_TIE_TOL = 1e-12
 
 
+def as_int(value):
+    """value as an int if it is a numpy (or other non-bool) integer, else
+    value unchanged, so `type(as_int(v)) is int` tests for an integer."""
+    # the type test first, so ints skip the slower numbers.Integral check
+    if type(value) is not int and not isinstance(value, bool) and isinstance(value, numbers.Integral):
+        return int(value)
+    return value
+
+
 def check_spin(value: int) -> int:
     """value as an int, if it is an int or a numpy integer (not a bool) in
     SPIN_VALUES; DomainError otherwise."""
-    # the type test first, so ints skip the slower numbers.Integral check
-    if type(value) is not int and not isinstance(value, bool) and isinstance(value, numbers.Integral):
-        value = int(value)
+    value = as_int(value)
     if type(value) is not int or value not in SPIN_VALUES:
         raise DomainError(f"spin must be one of {SPIN_VALUES}, got {value!r}")
     return value

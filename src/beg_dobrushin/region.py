@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .bounds import r_of_t
+from .bounds import _rate, r_of_t
 from .errors import DomainError
 from .model import STRIP_BANDS, check_dimension, check_finite, classify_region
 
@@ -33,13 +33,11 @@ def solve_t_d(d: int) -> float:
 
 
 def _curve_x(d: int, y: float) -> float:
-    """curve_x for finite y, -inf where it overflows."""
-    t = solve_t_d(d)
-    if y >= 1:
-        return -((t + 2 * d) / (2 * d)) * (y + 1)
-    if y <= -1:
-        return -(t / (2 * d)) * (abs(y) + 1)
-    return -(d * (y + 1) + t) / d
+    """curve_x for finite y, -inf where it overflows: the x whose exponent a
+    equals t_d * b(y), with a = 2d|x + y + 1| above y = -1 (bands A and B)
+    and 2d|x| below it (band C)."""
+    x = -(solve_t_d(d) / (2 * d)) * _rate(y)
+    return x - (y + 1) if y > -1 else x
 
 
 def curve_x(d: int, y: float) -> float:

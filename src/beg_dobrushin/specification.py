@@ -14,7 +14,7 @@ import numpy as np
 from . import kernel
 from .errors import CapacityError, DomainError
 from .kernel import PAIR_ORDER
-from .model import SPIN_VALUES, ModelParams, NeighborConfig, check_spin, pair_energy
+from .model import SPIN_VALUES, ModelParams, NeighborConfig, as_int, check_spin, pair_energy
 
 _NORM_TOL = 1e-12
 
@@ -121,12 +121,14 @@ def finite_volume_marginal(
 
     `boundary` is either a mapping from the sites of `boundary_ring(box_side)`,
     every one and no other, to spins, or else one spin for the whole ring.
-    DomainError for a box_side that is not an int and for a bad boundary;
-    CapacityError for a box_side other than 2 or 3.
+    DomainError for a box_side that is not an int or a numpy integer (a bool
+    is neither) and for a bad boundary; CapacityError for a box_side other
+    than 2 or 3.
     """
     if params.d != 2:
         raise DomainError("finite-volume boxes are supported for d=2 only")
-    if not isinstance(box_side, int):
+    box_side = as_int(box_side)
+    if type(box_side) is not int:
         raise DomainError(f"box_side must be an integer, got {box_side!r}")
     if box_side not in (2, 3):
         raise CapacityError(f"box_side must be 2 or 3, got {box_side}")

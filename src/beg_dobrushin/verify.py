@@ -5,7 +5,6 @@ where the uniqueness condition fails."""
 from __future__ import annotations
 
 import json
-import numbers
 import random
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -207,38 +206,24 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
     return SweepReport(spec=spec, checks=ordered)
 
 
-def find_failure_beta(
-    d: int,
-    x: float,
-    y: float,
-    beta_min: float = 1e-3,
-    beta_max: float = 100.0,
-    n_grid: int = 120,
-) -> float | None:
+def find_failure_beta(d: int, x: float, y: float) -> float | None:
     """Smallest temperature (refined to 1e-6 in beta) where the exact
-    single-site condition fails, or None if it holds on the whole scan range.
+    single-site condition fails, or None if it holds at every beta of the
+    scan grid: 120 geometric betas on [1e-3, 100].
 
-    The condition is evaluated on a geometric grid of n_grid betas at once;
-    the first failing grid beta is then refined by bisection from the grid
-    beta before it.  The bisection is batched: each round evaluates, in one
-    kernel block, every midpoint the next levels could probe (the whole
-    subtree of brackets), then walks those levels.  Each midpoint is formed
-    as in a one-probe-per-step loop and kernel values do not depend on
-    batching, so the result is that loop's, bit for bit.  The grid needs
-    n_grid >= 2 and 0 < beta_min < beta_max.  Raises DomainError if a TV
-    value the search reads is not finite (the point is too large in
-    magnitude).
+    The condition is evaluated on the whole grid at once; the first failing
+    grid beta is then refined by bisection from the grid beta before it.
+    The bisection is batched: each round evaluates, in one kernel block,
+    every midpoint the next levels could probe (the whole subtree of
+    brackets), then walks those levels.  Each midpoint is formed as in a
+    one-probe-per-step loop and kernel values do not depend on batching, so
+    the result is that loop's, bit for bit.  Raises DomainError for a bad d,
+    x or y, and if a TV value the search reads is not finite (the point is
+    too large in magnitude).
     """
-    # the grid lies between its endpoints, so checking them checks it all
-    ModelParams(x=x, y=y, beta=beta_min, d=d)
-    ModelParams(x=x, y=y, beta=beta_max, d=d)
-    if isinstance(n_grid, bool) or not isinstance(n_grid, numbers.Integral) or n_grid < 2:
-        raise DomainError(f"n_grid must be an integer >= 2, got {n_grid!r}")
-    if not 0 < beta_min < beta_max:
-        raise DomainError(f"need 0 < beta_min < beta_max, got beta_min={beta_min}, beta_max={beta_max}")
+    grid = np.geomspace(1e-3, 100.0, 120)
+    ModelParams(x=x, y=y, beta=float(grid[0]), d=d)
     threshold = 1.0 / (2 * d)
-
-    grid = np.geomspace(beta_min, beta_max, n_grid)
     top = kernel.max_tv(d, x, y, grid)[0]
     # the grid is read in order up to its first failing or non-finite value
     stop = np.flatnonzero(~(top < threshold))

@@ -194,15 +194,16 @@ def cell_lemma1_table(params, tails: np.ndarray) -> np.ndarray:
     return out
 
 
-def sequential_failure_beta(d, x, y, beta_min=1e-3, beta_max=100.0, n_grid=120):
-    """Reference for find_failure_beta: one exact_max_tv probe per grid beta
-    in increasing order, then the same bisection."""
+def sequential_failure_beta(d, x, y):
+    """Reference for find_failure_beta: one exact_max_tv probe per beta of its
+    grid (120 geometric betas on [1e-3, 100], written out here so the package
+    does not supply it) in increasing order, then the same bisection."""
 
     def fails(beta):
         return exact_max_tv(ModelParams(x=x, y=y, beta=beta, d=d)).max_tv >= 1.0 / (2 * d)
 
     prev = None
-    for beta in np.geomspace(beta_min, beta_max, n_grid):
+    for beta in np.geomspace(1e-3, 100.0, 120):
         beta = float(beta)
         if fails(beta):
             if prev is None:

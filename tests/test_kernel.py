@@ -239,14 +239,14 @@ class TestSweepPointClassification:
     # each asserts once per point: the band found for the Lemma 1 table also
     # serves case_bounds
     @pytest.mark.parametrize("point", [(-5.0, 2.0), (-3.0, 0.5), (-1.0, -3.0), (0.0, -2.0)])
-    def test_classifies_at_most_twice_per_point(self, point, classify_calls):
+    def test_classifies_each_point_once(self, point, classify_calls):
         spec = verify.SweepSpec(
             d=2, points=(point,), beta_grid=verify.log_beta_grid(), checks=verify.ALL_CHECKS
         )
         verify.run_sweep(spec)
         assert classify_calls == [point]
 
-    def test_classifies_at_most_twice_per_point_across_blocks(self, classify_calls):
+    def test_classifies_each_point_once_across_blocks(self, classify_calls):
         points = ((-5.0, 2.0), (-3.0, 0.5), (-1.0, -3.0), (0.0, -2.0)) * 4
         spec = verify.SweepSpec(d=3, points=points, beta_grid=verify.log_beta_grid(), checks=verify.ALL_CHECKS)
         assert kernel.block_points(3, len(spec.beta_grid)) < len(points)

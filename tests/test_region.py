@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -67,8 +69,28 @@ class TestCurve:
         with pytest.raises(DomainError, match="y must be finite"):
             curve_x(2, bad)
 
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_matches_band_closed_forms(self, d):
+        # the paper's per-band curve, x = -((t + 2d)/(2d))(y + 1) on A,
+        # -(d(y + 1) + t)/d on B and -(t/(2d))(|y| + 1) on C, evaluated
+        # exactly at the float t_d; curve_x's at most four roundings (of
+        # t/(2d), b(y), the product and the y + 1 shift) keep it within a
+        # relative 4 * 2^-53 of that
+        t = Fraction(solve_t_d(d))
+        rng = random.Random(7000 + d)
+        for lo, hi in ((1.0, 1e6), (-1.0, 1.0), (-1e6, -1.0)):
+            for y in [lo, hi] + [rng.uniform(lo, hi) for _ in range(300)]:
+                fy = Fraction(y)
+                if y >= 1:
+                    exact = -((t + 2 * d) / (2 * d)) * (fy + 1)
+                elif y <= -1:
+                    exact = -(t / (2 * d)) * (abs(fy) + 1)
+                else:
+                    exact = -(d * (fy + 1) + t) / d
+                assert abs(Fraction(curve_x(d, y)) - exact) <= abs(exact) * Fraction(4, 2**53), y
+
     def test_overflow_raises(self):
-        # -((t + 4) / 4) * (1e308 + 1) is below -max float
+        # -(t / 4) * (1e308 + 1) - (1e308 + 1) is below -max float
         with pytest.raises(DomainError, match="curve x is -inf at y=1e\\+308 .* too large in magnitude"):
             curve_x(2, 1e308)
 

@@ -242,6 +242,16 @@ class TestFiniteVolumeMarginal:
         assert tv < 0.25
         assert tv == pytest.approx(1.5746336156355878e-20, rel=1e-6, abs=1e-30)
 
+    @pytest.mark.parametrize("side", [np.int64(3), np.int32(2), np.uint8(3)])
+    def test_numpy_integer_box_side(self, side):
+        params = ModelParams(x=-1.0, y=0.5, beta=0.7, d=2)
+        assert finite_volume_marginal(params, side, 1) == finite_volume_marginal(params, int(side), 1)
+
+    @pytest.mark.parametrize("side", [True, np.bool_(True)])
+    def test_bool_box_side_is_domain_error(self, side):
+        with pytest.raises(DomainError, match="box_side must be an integer, got"):
+            finite_volume_marginal(ModelParams(x=0, y=0, beta=1, d=2), side, 0)
+
     def test_guards(self):
         with pytest.raises(DomainError):
             finite_volume_marginal(ModelParams(x=0, y=0, beta=1, d=3), 3, 0)

@@ -423,27 +423,25 @@ class TestFindFailureBeta:
         assert 0 < found < len(points)
 
     @pytest.mark.parametrize(
-        "d, x, y, grid",
+        "d, x, y",
         [
-            # a coarse non-default grid
-            (2, 0.3, -2.0, {"beta_min": 0.05, "beta_max": 20.0, "n_grid": 7}),
-            (3, 0.1, -2.5, {"beta_min": 0.01, "beta_max": 5.0, "n_grid": 33}),
+            (2, 0.3, -2.0),
+            (3, 0.1, -2.5),
             # the first grid beta already fails: no bisection
-            (2, 0.0, -2.0, {"beta_min": 1.0, "beta_max": 3.0, "n_grid": 5}),
-            # grid steps of 1e-7, so the starting bracket is already refined
-            (2, 0.0, -2.0, {"beta_min": 0.5359, "beta_max": 0.5360, "n_grid": 1001}),
-            # one bracket from 1e-3 to 100: about 27 levels, several rounds
-            (1, 0.3, -2.0, {"n_grid": 2}),
-            (2, 0.0, -2.0, {"n_grid": 2}),
-            (4, 0.3, -2.0, {"n_grid": 2}),
+            (2, 0.0, -2000.0),
+            # a grid step of about 0.05 refined to 1e-6: 16 levels, so
+            # several rounds at every d
+            (1, 0.3, -2.0),
+            (2, 0.0, -2.0),
+            (4, 0.3, -2.0),
             # 595 classes: one beta per block, one level per round
-            (17, 0.0, -2.0, {}),
+            (17, 0.0, -2.0),
         ],
     )
-    def test_matches_sequential_edge_cases(self, d, x, y, grid):
-        beta = find_failure_beta(d, x, y, **grid)
+    def test_matches_sequential_edge_cases(self, d, x, y):
+        beta = find_failure_beta(d, x, y)
         assert beta is not None
-        assert beta == sequential_failure_beta(d, x, y, **grid)
+        assert beta == sequential_failure_beta(d, x, y)
 
     @staticmethod
     def count_calls(monkeypatch, module, name):
@@ -469,6 +467,11 @@ class TestFindFailureBeta:
         assert len(kernel_calls) <= 5
         assert probes == []
 
+    def test_first_grid_beta_failing_is_returned(self, monkeypatch):
+        kernel_calls = self.count_calls(monkeypatch, kernel, "max_tv")
+        assert find_failure_beta(2, 0.0, -2000.0) == 1e-3
+        assert len(kernel_calls) == 1
+
     @pytest.mark.parametrize("d, levels", [(1, 7), (2, 5), (3, 4), (4, 3), (6, 2), (17, 1)])
     def test_round_is_one_full_block(self, monkeypatch, d, levels):
         # each bisection round evaluates the 2^L - 1 midpoints of L levels,
@@ -490,35 +493,15 @@ class TestFindFailureBeta:
         with pytest.raises(DomainError, match="too large in magnitude"):
             exact_max_tv(ModelParams(x=x, y=y, beta=1.0, d=2))
 
-    def test_rejects_non_finite_input(self):
-        with pytest.raises(DomainError):
-            find_failure_beta(2, math.nan, -2.0)
-        with pytest.raises(DomainError):
-            find_failure_beta(2, 0.0, -2.0, beta_max=math.inf)
-
     @pytest.mark.parametrize(
-        "grid",
-        [
-            {"n_grid": 0},
-            {"n_grid": 1},
-            {"beta_min": 5.0, "beta_max": 1.0},
-            {"beta_min": 2.0, "beta_max": 2.0},
-            {"beta_min": 0.0},
-        ],
+        "d, x, y, name",
+        [(2, bad, -2.0, "x") for bad in (math.nan, math.inf, -math.inf)]
+        + [(2, 0.0, bad, "y") for bad in (math.nan, math.inf, -math.inf)]
+        + [(True, 0.0, -2.0, "d")],
     )
-    def test_rejects_degenerate_grid(self, grid):
-        # (2, 0.3, -2) fails near beta = 0.44, so a grid that returned None
-        # or its own endpoint here would misreport the point
-        with pytest.raises(DomainError):
-            find_failure_beta(2, 0.3, -2.0, **grid)
-
-    @pytest.mark.parametrize("n_grid", [2.5, 120.0, True, "120", None])
-    def test_rejects_non_int_grid_size(self, n_grid):
-        with pytest.raises(DomainError, match="n_grid"):
-            find_failure_beta(2, 0.0, -2.0, n_grid=n_grid)
-
-    def test_numpy_int_grid_size(self):
-        assert find_failure_beta(2, 0.0, -2.0, n_grid=np.int64(120)) == find_failure_beta(2, 0.0, -2.0)
+    def test_rejects_bad_input(self, d, x, y, name):
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            find_failure_beta(d, x, y)
 
     def test_inside_region_never_fails(self):
         assert find_failure_beta(2, -6.0, 0.0) is None
