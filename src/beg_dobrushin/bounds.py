@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError
 from .kernel import math_map
-from .model import STRIP_BANDS, ModelParams, NeighborConfig, SubRegion, check_spin, classify_region
+from .model import STRIP_BANDS, ModelParams, NeighborConfig, SubRegion, check_int, check_spin, classify_region
 
 
 @dataclass(frozen=True)
@@ -124,18 +124,20 @@ def r_of_t(t: float) -> float:
     return 4.0 / (1.0 + t) * math.exp(-t * math.log1p(1.0 / t))
 
 
-def _check_pair(nb: NeighborConfig, sigma1_tilde: int) -> None:
-    check_spin(sigma1_tilde)
-    if sigma1_tilde == nb.spins[0]:
+def _check_pair(nb: NeighborConfig, sigma1_tilde: int) -> int:
+    """sigma1_tilde as an int, if it is a spin other than nb's distinguished one."""
+    st = check_spin(sigma1_tilde)
+    if st == nb.spins[0]:
         raise DomainError("replacement spin must differ from the distinguished neighbor")
+    return st
 
 
 def theta(s: int, nb: NeighborConfig, sigma1_tilde: int, params: ModelParams) -> float:
     """One signed term of the TV decomposition for origin spin s in {-1, +1}."""
-    if check_spin(s) == 0:
+    s = check_spin(s)
+    if s == 0:
         raise DomainError(f"s must be -1 or +1, got {s!r}")
-    _check_pair(nb, sigma1_tilde)
-    s1, st = nb.spins[0], sigma1_tilde
+    s1, st = nb.spins[0], _check_pair(nb, sigma1_tilde)
     beta = params.beta
     e_prefix = beta * (2 * params.d * params.x + params.y * nb.sigma_sq)
     e_inner = beta * params.y * (st * st - s1 * s1) + beta * s * (st - s1)
@@ -146,8 +148,7 @@ def theta(s: int, nb: NeighborConfig, sigma1_tilde: int, params: ModelParams) ->
 def psi(nb: NeighborConfig, sigma1_tilde: int, params: ModelParams) -> float:
     """The sinh term of the TV decomposition:
     2*exp(beta*(4dx + 2y*sigma_sq)) * exp(beta*y*(st^2-s1^2)) * sinh(beta*(st-s1))."""
-    _check_pair(nb, sigma1_tilde)
-    s1, st = nb.spins[0], sigma1_tilde
+    s1, st = nb.spins[0], _check_pair(nb, sigma1_tilde)
     beta = params.beta
     e = beta * (4 * params.d * params.x + 2 * params.y * nb.sigma_sq)
     e += beta * params.y * (st * st - s1 * s1)
@@ -164,8 +165,7 @@ def lemma1_bound(nb: NeighborConfig, sigma1_tilde: int, params: ModelParams) -> 
     The pair is normalized internally to |sigma1_tilde| >= |sigma_1|, with
     (-1, +1) when the magnitudes tie; the bound is symmetric in the pair.
     """
-    _check_pair(nb, sigma1_tilde)
-    s1, st = nb.spins[0], sigma1_tilde
+    s1, st = nb.spins[0], _check_pair(nb, sigma1_tilde)
     if abs(st) < abs(s1):
         nb = nb.with_distinguished(st)
         st = s1
@@ -233,15 +233,15 @@ def case_bounds(d: int, points, bands, betas: np.ndarray) -> CaseBounds:
     return out
 
 
-def _check_k(params: ModelParams, k: int) -> None:
-    if not 0 <= k <= 2 * params.d - 1:
-        raise DomainError(f"k must lie in [0, {2 * params.d - 1}], got {k}")
+def _check_k(params: ModelParams, k: int) -> int:
+    top = 2 * params.d - 1
+    return check_int("k", k, f"be an integer in [0, {top}]", lambda k: 0 <= k <= top)
 
 
 def theta_sum_bound(params: ModelParams, k: int) -> float:
     """Bound on |theta_+1| + |theta_-1| for sigma_1 = 0, sigma_1~ = 1 and k
     nonzero non-distinguished neighbors, decaying at rate b(y)."""
-    _check_k(params, k)
+    k = _check_k(params, k)
     beta, x, y, d = params.beta, params.x, params.y, params.d
     # k(y+1) for y <= -1 and (k+1)(y+1) above: the larger of the two
     tail = max(k * (y + 1), (k + 1) * (y + 1))
@@ -251,6 +251,6 @@ def theta_sum_bound(params: ModelParams, k: int) -> float:
 def psi_bound(params: ModelParams, k: int) -> float:
     """Bound on |psi| for sigma_1 = 0, sigma_1~ = +-1 and k nonzero
     non-distinguished neighbors, decaying at rate b(y)."""
-    _check_k(params, k)
+    k = _check_k(params, k)
     beta, x, y, d = params.beta, params.x, params.y, params.d
     return _decay(1.0, beta * (4 * d * x + (2 * k + 1) * y + 1), -beta * _rate(y))

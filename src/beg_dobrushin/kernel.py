@@ -59,18 +59,16 @@ def classes(d: int) -> ClassTable:
     from 2d-1 down to 0 and then k up: the order of their first members in
     balanced-ternary order (class_tail: more -1s first, then more 0s), so the
     first maximizer over (class, pair) is the first maximizer over (tail, pair)
-    of the full enumeration.  Multiplicities C(2d-1, k) C(k, plus) are exact
-    Python ints, stepped along k from C(2d-1, minus).
+    of the full enumeration.  Multiplicities C(2d-1, k) C(k, #minus) are
+    exact Python ints, whatever integer type d has.
     """
     m = 2 * d - 1
     ks, ns, mult = [], [], []
     for minus in range(m, -1, -1):
-        c = math.comb(m, minus)
         for k in range(minus, m + 1):
             ks.append(k)
             ns.append(k - 2 * minus)
-            mult.append(c)
-            c = c * (m - k) // (k + 1 - minus)
+            mult.append(math.comb(m, k) * math.comb(k, minus))
     stats = (np.array(ks, dtype=np.float64), np.array(ns, dtype=np.float64))
     for a in stats:
         a.flags.writeable = False

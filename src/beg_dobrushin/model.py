@@ -12,6 +12,7 @@ from itertools import combinations_with_replacement
 from .errors import DegenerateGroundStateError, DomainError
 
 SPIN_VALUES = (-1, 0, 1)
+_SPIN_WANT = f"be one of {SPIN_VALUES}"
 
 # Points closer than this to a defining hyperplane are labeled Boundary.
 BOUNDARY_TOL = 1e-12
@@ -19,22 +20,22 @@ BOUNDARY_TOL = 1e-12
 _ENERGY_TIE_TOL = 1e-12
 
 
-def as_int(value):
-    """value as an int if it is a numpy (or other non-bool) integer, else
-    value unchanged, so `type(as_int(v)) is int` tests for an integer."""
+def check_int(name: str, value, want: str, ok) -> int:
+    """value as an int, if it is an int or a numpy integer (not a bool) for
+    which ok(value) holds; DomainError "<name> must <want>, got <value!r>"
+    otherwise."""
     # the type test first, so ints skip the slower numbers.Integral check
-    if type(value) is not int and not isinstance(value, bool) and isinstance(value, numbers.Integral):
-        return int(value)
-    return value
+    if type(value) is int or (not isinstance(value, bool) and isinstance(value, numbers.Integral)):
+        as_int = int(value)
+        if ok(as_int):
+            return as_int
+    raise DomainError(f"{name} must {want}, got {value!r}")
 
 
 def check_spin(value: int) -> int:
     """value as an int, if it is an int or a numpy integer (not a bool) in
     SPIN_VALUES; DomainError otherwise."""
-    value = as_int(value)
-    if type(value) is not int or value not in SPIN_VALUES:
-        raise DomainError(f"spin must be one of {SPIN_VALUES}, got {value!r}")
-    return value
+    return check_int("spin", value, _SPIN_WANT, SPIN_VALUES.__contains__)
 
 
 def check_finite(name: str, value: float) -> float:
@@ -44,10 +45,9 @@ def check_finite(name: str, value: float) -> float:
 
 
 def check_dimension(d: int) -> int:
-    """d, if it is an int (not a bool) >= 1; DomainError otherwise."""
-    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-        raise DomainError(f"d must be an integer >= 1, got {d!r}")
-    return d
+    """d as an int, if it is an int or a numpy integer (not a bool) >= 1;
+    DomainError otherwise."""
+    return check_int("d", d, "be an integer >= 1", lambda d: d >= 1)
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ class ModelParams:
             check_finite(name, getattr(self, name))
         if self.beta < 0:
             raise DomainError(f"beta must be >= 0, got {self.beta}")
-        check_dimension(self.d)
+        object.__setattr__(self, "d", check_dimension(self.d))
 
 
 @dataclass(frozen=True)
@@ -131,8 +131,7 @@ class RegionLabel:
 
 def pair_energy(si: int, sj: int, x: float, y: float) -> float:
     """Energy of a nearest-neighbor spin pair: -(si*sj + y*si^2*sj^2 + x*(si^2+sj^2))."""
-    check_spin(si)
-    check_spin(sj)
+    si, sj = check_spin(si), check_spin(sj)
     return -(si * sj + y * si * si * sj * sj + x * (si * si + sj * sj))
 
 

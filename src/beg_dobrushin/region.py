@@ -13,13 +13,16 @@ from .model import STRIP_BANDS, check_dimension, check_finite, classify_region
 _BISECT_TOL = 1e-12
 
 
-# typed, as True == 1: d = True must not hit d = 1's entry unchecked
-@lru_cache(maxsize=None, typed=True)
 def solve_t_d(d: int) -> float:
-    """Root t_d of r(t) = 1/(2d), computed once per dimension by bisection:
-    r is strictly decreasing with r(1) = 1 > 1/(2d), so [1, T] brackets the
-    root once r(T) < 1/(2d)."""
-    target = 1.0 / (2 * check_dimension(d))
+    """Root t_d of r(t) = 1/(2d), computed once per dimension."""
+    return _solve_t_d(check_dimension(d))
+
+
+@lru_cache(maxsize=None)
+def _solve_t_d(d: int) -> float:
+    """solve_t_d by bisection: r is strictly decreasing with r(1) = 1 >
+    1/(2d), so [1, T] brackets the root once r(T) < 1/(2d)."""
+    target = 1.0 / (2 * d)
     lo, hi = 1.0, 2.0
     while r_of_t(hi) >= target:
         hi *= 2
@@ -43,7 +46,8 @@ def _curve_x(d: int, y: float) -> float:
 def curve_x(d: int, y: float) -> float:
     """The polygonal uniqueness boundary x(d, y) solving a(d, x, y)/b(y) = t_d;
     DomainError if it overflows."""
-    x = _curve_x(d, check_finite("y", y))
+    y, d = check_finite("y", y), check_dimension(d)
+    x = _curve_x(d, y)
     if not math.isfinite(x):
         raise DomainError(f"curve x is {x!r} at y={y!r} (d = {d}); y is too large in magnitude")
     return x
@@ -54,11 +58,11 @@ def in_dobrushin_region(d: int, x: float, y: float) -> bool:
     i.e. the optimized bound beats the 1/(2d) threshold for every temperature.
     Where the curve overflows to -inf, no finite x lies left of it."""
     sub = classify_region(x, y).sub
-    if sub not in STRIP_BANDS:
-        return False
-    return x < _curve_x(d, y)
+    d = check_dimension(d)
+    return sub in STRIP_BANDS and x < _curve_x(d, y)
 
 
 def blume_capel_xc(d: int) -> float:
     """Critical coupling -(d + t_d)/d of the y = 0 (Blume-Capel) slice."""
+    d = check_dimension(d)
     return -(d + solve_t_d(d)) / d

@@ -14,7 +14,7 @@ import numpy as np
 from . import kernel
 from .errors import CapacityError, DomainError
 from .kernel import PAIR_ORDER
-from .model import SPIN_VALUES, ModelParams, NeighborConfig, as_int, check_spin, pair_energy
+from .model import SPIN_VALUES, ModelParams, NeighborConfig, check_int, check_spin, pair_energy
 
 _NORM_TOL = 1e-12
 
@@ -127,9 +127,7 @@ def finite_volume_marginal(
     """
     if params.d != 2:
         raise DomainError("finite-volume boxes are supported for d=2 only")
-    box_side = as_int(box_side)
-    if type(box_side) is not int:
-        raise DomainError(f"box_side must be an integer, got {box_side!r}")
+    box_side = check_int("box_side", box_side, "be an integer", lambda _: True)
     if box_side not in (2, 3):
         raise CapacityError(f"box_side must be 2 or 3, got {box_side}")
     sites = [(i, j) for i in range(box_side) for j in range(box_side)]

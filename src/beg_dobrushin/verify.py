@@ -48,17 +48,12 @@ class SweepSpec:
                 x, y = point
             except (TypeError, ValueError):
                 raise DomainError(f"sweep point must be an (x, y) pair, got {point!r}") from None
-            points.append((float(x), float(y)))
+            points.append((float(check_finite("point coordinate", x)), float(check_finite("point coordinate", y))))
         object.__setattr__(self, "points", tuple(points))
-        grid = tuple(float(b) for b in self.beta_grid)
+        grid = tuple(float(check_finite("beta grid value", b)) for b in self.beta_grid)
         object.__setattr__(self, "beta_grid", grid)
         object.__setattr__(self, "checks", frozenset(self.checks))
-        check_dimension(self.d)
-        for x, y in self.points:
-            check_finite("point coordinate", x)
-            check_finite("point coordinate", y)
-        for b in grid:
-            check_finite("beta grid value", b)
+        object.__setattr__(self, "d", check_dimension(self.d))
         if any(b < 0 for b in grid):
             raise DomainError("beta grid values must be >= 0")
         if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
@@ -222,7 +217,7 @@ def find_failure_beta(d: int, x: float, y: float) -> float | None:
     too large in magnitude).
     """
     grid = np.geomspace(1e-3, 100.0, 120)
-    ModelParams(x=x, y=y, beta=float(grid[0]), d=d)
+    d = ModelParams(x=x, y=y, beta=float(grid[0]), d=d).d
     threshold = 1.0 / (2 * d)
     top = kernel.max_tv(d, x, y, grid)[0]
     # the grid is read in order up to its first failing or non-finite value

@@ -24,6 +24,7 @@ from beg_dobrushin import (
     run_sweep,
     solve_t_d,
 )
+from beg_dobrushin import region
 from beg_dobrushin.verify import default_certification_spec, log_beta_grid
 
 from test_specification import full_hamiltonian_conditional
@@ -45,15 +46,15 @@ def best_time(fn, repeats=5):
 
 def test_criterion_1_root_reproduction():
     ok = abs(solve_t_d(2) - 5.39315) <= 1e-4 and abs(solve_t_d(3) - 8.33383) <= 1e-4
-    runtime = max(best_time(lambda: solve_t_d.__wrapped__(2)),
-                  best_time(lambda: solve_t_d.__wrapped__(3)))
+    runtime = max(best_time(lambda: region._solve_t_d.__wrapped__(2)),
+                  best_time(lambda: region._solve_t_d.__wrapped__(3)))
     report(1, "root reproduction t_2, t_3", ok and runtime < 1e-3,
            f"t_2={solve_t_d(2):.6f} t_3={solve_t_d(3):.6f} best_runtime={runtime * 1e3:.3f}ms")
 
 
 def test_criterion_2_blume_capel_criticals():
     ok = abs(blume_capel_xc(2) + 3.69658) <= 1e-4 and abs(blume_capel_xc(3) + 3.77794) <= 1e-4
-    runtime = best_time(lambda: -(2 + solve_t_d.__wrapped__(2)) / 2)
+    runtime = best_time(lambda: -(2 + region._solve_t_d.__wrapped__(2)) / 2)
     report(2, "Blume-Capel critical couplings", ok and runtime < 1e-3,
            f"x_c(2)={blume_capel_xc(2):.6f} x_c(3)={blume_capel_xc(3):.6f} "
            f"best_runtime={runtime * 1e3:.3f}ms")

@@ -355,6 +355,14 @@ class TestIntermediateBounds:
         with pytest.raises(DomainError):
             psi_bound(params, -1)
 
+    @pytest.mark.parametrize("k", [1.5, True, np.True_, 2.0])
+    def test_k_must_be_an_integer(self, k):
+        # 1.5 and True once passed the range test
+        params = ModelParams(x=-3, y=0, beta=1.0, d=2)
+        for bound in (theta_sum_bound, psi_bound):
+            with pytest.raises(DomainError, match=r"k must be an integer in \[0, 3\], got "):
+                bound(params, k)
+
     def test_branch_continuity_at_y_one(self):
         above = theta_sum_bound(ModelParams(x=-4, y=1.0, beta=0.7, d=2), 2)
         # both regimes reduce to 2 e^{beta(2dx + 2(k+1))} (1 - e^{-2 beta}) at y = 1

@@ -137,6 +137,24 @@ class TestClasses:
         assert len(table.mult) == 200 * 401
         assert sum(table.mult) == 3**399
 
+    def test_numpy_dimension_gives_int_multiplicities(self):
+        # a numpy d once stepped the multiplicities in int64, which raised
+        # OverflowError at d = 40
+        table = kernel.classes(np.int64(40))
+        assert all(type(c) is int for c in table.mult)
+        assert sum(table.mult) == 3**79
+        assert table.mult == kernel.classes(40).mult
+
+    def test_multiplicities_are_multinomials(self):
+        # (2d-1)! / (#zero! #minus! #plus!) per class
+        for d in range(1, 60):
+            table = kernel.classes(d)
+            k, n = table.k.astype(int).tolist(), table.n.astype(int).tolist()
+            f = math.factorial
+            assert table.mult == tuple(
+                f(2 * d - 1) // (f(2 * d - 1 - ki) * f((ki - ni) // 2) * f((ki + ni) // 2)) for ki, ni in zip(k, n)
+            )
+
 
 class TestMaxTv:
     def test_first_max_takes_first_occurrence(self):

@@ -105,6 +105,12 @@ class TestMembership:
         assert require_sub_region(-1.7e308, 1e308) is SubRegion.A
         assert not in_dobrushin_region(2, -1.7e308, 1e308)
 
+    @pytest.mark.parametrize("x, y", [(1.0, 1.0), (-6.0, 0.0)])
+    def test_dimension_checked_outside_the_strip_too(self, x, y):
+        # (1, 1) is ferromagnetic: the answer was False before d was read
+        with pytest.raises(DomainError, match="d must be an integer >= 1, got 0"):
+            in_dobrushin_region(0, x, y)
+
     def test_examples(self):
         assert in_dobrushin_region(2, -6, 0)
         assert not in_dobrushin_region(2, -3, 0)

@@ -86,6 +86,15 @@ class TestSweepSpec:
         spec = small_spec(points=np.array([[-5.0, 2.0], [-3.0, 0.0]]))
         assert spec.points == ((-5.0, 2.0), (-3.0, 0.0))
 
+    def test_string_point_coordinate_rejected(self):
+        # float("-5") would read it; ModelParams(x="-5", ...) raises TypeError
+        with pytest.raises(TypeError):
+            small_spec(points=(("-5", "2"),))
+
+    def test_string_beta_rejected(self):
+        with pytest.raises(TypeError):
+            small_spec(beta_grid=("0.5",))
+
 
 class TestRunSweep:
     def test_zero_temperature_grid_vacuous(self):
@@ -466,6 +475,10 @@ class TestFindFailureBeta:
         assert find_failure_beta(2, 0.0, -2.0) == want
         assert len(kernel_calls) <= 5
         assert probes == []
+
+    def test_numpy_dimension_accepted(self):
+        # check_dimension once rejected numpy integers here
+        assert find_failure_beta(np.int64(2), 0.0, -2.0) == find_failure_beta(2, 0.0, -2.0)
 
     def test_first_grid_beta_failing_is_returned(self, monkeypatch):
         kernel_calls = self.count_calls(monkeypatch, kernel, "max_tv")
