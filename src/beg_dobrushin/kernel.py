@@ -206,6 +206,33 @@ def block_points(d: int, n_betas: int) -> int:
     return max(1, _SWEEP_BLOCK_CELLS // max(1, n_betas * len(classes(d).k)))
 
 
+def bisect(fails, lo: float, hi: float, tol: float, levels: int = 1) -> tuple[float, float]:
+    """Narrow a bracket whose hi fails and whose lo holds until hi - lo <= tol.
+
+    Each round forms the 2^levels - 1 midpoints of the depth-`levels` bracket
+    tree in heap order (node j's children are 2j + 1, its bracket's lower
+    half, taken when its midpoint fails, and 2j + 2), evaluates them in one
+    fails(mids) call, which returns one bool per midpoint, and then walks up
+    to `levels` steps.  Each midpoint is formed as 0.5 * (a + b), as in a
+    one-probe-per-step loop, so the bracket is that loop's, bit for bit.
+    """
+    while hi - lo > tol:
+        brackets, mids = [(lo, hi)], []
+        for j in range(2**levels - 1):
+            a, b = brackets[j]
+            mids.append(0.5 * (a + b))
+            brackets += [(a, mids[j]), (mids[j], b)]
+        failed, j = fails(mids), 0
+        for _ in range(levels):
+            if hi - lo <= tol:
+                break
+            if failed[j]:
+                hi, j = mids[j], 2 * j + 1
+            else:
+                lo, j = mids[j], 2 * j + 2
+    return lo, hi
+
+
 def finite_tv(tv: float, d: int, x: float, y: float, beta: float) -> float:
     """A max TV read from max_tv, or DomainError naming the point if it
     overflowed to nan."""

@@ -130,8 +130,10 @@ class RegionLabel:
 
 
 def pair_energy(si: int, sj: int, x: float, y: float) -> float:
-    """Energy of a nearest-neighbor spin pair: -(si*sj + y*si^2*sj^2 + x*(si^2+sj^2))."""
+    """Energy of a nearest-neighbor spin pair: -(si*sj + y*si^2*sj^2 + x*(si^2+sj^2));
+    DomainError for a bad spin or a non-finite x or y."""
     si, sj = check_spin(si), check_spin(sj)
+    x, y = check_finite("x", x), check_finite("y", y)
     return -(si * sj + y * si * si * sj * sj + x * (si * si + sj * sj))
 
 

@@ -8,6 +8,7 @@ from functools import lru_cache
 
 from .bounds import _rate, r_of_t
 from .errors import DomainError
+from .kernel import bisect
 from .model import STRIP_BANDS, check_dimension, check_finite, classify_region
 
 _BISECT_TOL = 1e-12
@@ -23,15 +24,10 @@ def _solve_t_d(d: int) -> float:
     """solve_t_d by bisection: r is strictly decreasing with r(1) = 1 >
     1/(2d), so [1, T] brackets the root once r(T) < 1/(2d)."""
     target = 1.0 / (2 * d)
-    lo, hi = 1.0, 2.0
+    hi = 2.0
     while r_of_t(hi) >= target:
         hi *= 2
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if r_of_t(mid) > target:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bisect(lambda ts: [r_of_t(t) <= target for t in ts], 1.0, hi, _BISECT_TOL)
     return 0.5 * (lo + hi)
 
 

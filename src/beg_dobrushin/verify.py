@@ -14,7 +14,7 @@ import numpy as np
 from . import bounds, kernel
 from .errors import DomainError
 from .kernel import PAIR_ORDER
-from .model import STRIP_BANDS, ModelParams, check_dimension, check_finite, classify_region
+from .model import STRIP_BANDS, ModelParams, check_dimension, check_finite, check_int, classify_region
 
 SLACK_TOL = 1e-12
 MAX_WITNESSES = 100
@@ -52,7 +52,11 @@ class SweepSpec:
         object.__setattr__(self, "points", tuple(points))
         grid = tuple(float(check_finite("beta grid value", b)) for b in self.beta_grid)
         object.__setattr__(self, "beta_grid", grid)
-        object.__setattr__(self, "checks", frozenset(self.checks))
+        checks = frozenset(self.checks)
+        for check in checks:
+            if not isinstance(check, Check):
+                raise TypeError(f"sweep checks must be Check members, got {check!r}")
+        object.__setattr__(self, "checks", checks)
         object.__setattr__(self, "d", check_dimension(self.d))
         if any(b < 0 for b in grid):
             raise DomainError("beta grid values must be >= 0")
@@ -208,13 +212,14 @@ def find_failure_beta(d: int, x: float, y: float) -> float | None:
 
     The condition is evaluated on the whole grid at once; the first failing
     grid beta is then refined by bisection from the grid beta before it.
-    The bisection is batched: each round evaluates, in one kernel block,
-    every midpoint the next levels could probe (the whole subtree of
-    brackets), then walks those levels.  Each midpoint is formed as in a
-    one-probe-per-step loop and kernel values do not depend on batching, so
-    the result is that loop's, bit for bit.  Raises DomainError for a bad d,
+    The bisection is kernel.bisect with one kernel block per round: it
+    evaluates every midpoint the next levels could probe, then walks those
+    levels.  Kernel values do not depend on batching, so the result is a
+    one-probe-per-step loop's, bit for bit.  Raises DomainError for a bad d,
     x or y, and if a TV value the search reads is not finite (the point is
-    too large in magnitude).
+    too large in magnitude).  Every midpoint lies below the failing grid
+    beta, whose TV was read as finite, and a TV overflows only from some
+    beta on, so checking each midpoint raises nothing the walk would not.
     """
     grid = np.geomspace(1e-3, 100.0, 120)
     d = ModelParams(x=x, y=y, beta=float(grid[0]), d=d).d
@@ -228,33 +233,21 @@ def find_failure_beta(d: int, x: float, y: float) -> float | None:
     kernel.finite_tv(float(top[i]), d, x, y, float(grid[i]))
     if i == 0:
         return float(grid[0])
-    lo, hi = float(grid[i - 1]), float(grid[i])
     # levels per round: the largest L whose 2^L - 1 midpoints fit one block
     levels = (kernel.block_betas(d) + 1).bit_length() - 1
-    while hi - lo > 1e-6:
-        # midpoints of the depth-`levels` bracket tree in heap order: node j's
-        # children are 2j + 1 (its bracket's lower half, taken when mid fails)
-        # and 2j + 2 (the upper half)
-        brackets, mids = [(lo, hi)], []
-        for j in range(2**levels - 1):
-            a, b = brackets[j]
-            mids.append(0.5 * (a + b))
-            brackets += [(a, mids[j]), (mids[j], b)]
+
+    def fails(mids: list[float]) -> list[bool]:
         tv = kernel.max_tv(d, x, y, np.array(mids))[0].tolist()
-        j = 0
-        for _ in range(levels):
-            if not hi - lo > 1e-6:
-                break
-            if kernel.finite_tv(tv[j], d, x, y, mids[j]) >= threshold:
-                hi, j = mids[j], 2 * j + 1
-            else:
-                lo, j = mids[j], 2 * j + 2
-    return hi
+        return [kernel.finite_tv(t, d, x, y, m) >= threshold for t, m in zip(tv, mids)]
+
+    return kernel.bisect(fails, float(grid[i - 1]), float(grid[i]), 1e-6, levels)[1]
 
 
 def sample_strip_points(points_per_region: int, seed: int = 2026) -> tuple[tuple[float, float], ...]:
     """Deterministic sample of coupling points, `points_per_region` in each of
-    the three y-bands of the strip x + y + 1 < 0, x < 0."""
+    the three y-bands of the strip x + y + 1 < 0, x < 0; DomainError unless
+    points_per_region is an integer >= 1."""
+    points_per_region = check_int("points_per_region", points_per_region, "be an integer >= 1", lambda n: n >= 1)
     rng = random.Random(seed)
     pts: list[tuple[float, float]] = []
     for _ in range(points_per_region):  # A: y >= 1
@@ -275,7 +268,8 @@ def log_beta_grid(beta_min: float = 1e-3, beta_max: float = 50.0, n: int = 40) -
 
 def default_certification_spec(d: int, points_per_region: int = 20, seed: int = 2026) -> SweepSpec:
     """The standard domination-certification sweep for one dimension: the
-    bound checks on the default beta grid."""
+    bound checks on the default beta grid, at points_per_region (an integer
+    >= 1) sample points in each band."""
     return SweepSpec(
         d=d,
         points=sample_strip_points(points_per_region, seed=seed),

@@ -10,6 +10,7 @@ from beg_dobrushin import (
     NeighborConfig,
     conditional_distribution,
     exact_max_tv,
+    r_of_t,
     total_variation,
 )
 from beg_dobrushin import kernel
@@ -218,6 +219,22 @@ def sequential_failure_beta(d, x, y):
             return hi
         prev = beta
     return None
+
+
+def sequential_t_d(d):
+    """Reference for solve_t_d: double T from 2 until r(T) < 1/(2d), then
+    bisect [1, T] one probe per step to 1e-12 and return the midpoint."""
+    target = 1.0 / (2 * d)
+    lo, hi = 1.0, 2.0
+    while r_of_t(hi) >= target:
+        hi *= 2
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if r_of_t(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def sequential_record(name, cells) -> CheckResult:

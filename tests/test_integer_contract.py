@@ -1,7 +1,8 @@
 """The integer contract of the public API: each integer argument (a dimension
-d, a spin, a box side, a neighbour count k) takes an int or a numpy integer
-and gives the int's result bit for bit; a bool, a float, a 0-d array, a
-string, None or an out-of-range int raises DomainError naming the argument."""
+d, a spin, a box side, a neighbour count k, a points-per-region count) takes an
+int or a numpy integer and gives the int's result bit for bit; a bool, a
+float, a 0-d array, a string, None or an out-of-range int raises DomainError
+naming the argument."""
 
 from typing import Callable, NamedTuple
 
@@ -32,7 +33,7 @@ from beg_dobrushin import (
     theta_sum_bound,
 )
 from beg_dobrushin.specification import boundary_ring
-from beg_dobrushin.verify import ALL_CHECKS
+from beg_dobrushin.verify import ALL_CHECKS, sample_strip_points
 
 NUMPY_INTS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
 NOT_INTS = (True, np.True_, 2.0, np.float64(2), np.array(2), "2", None)
@@ -57,6 +58,9 @@ class IntArg(NamedTuple):
 
 DIMENSION = dict(valid=(1, 2, 3), out_of_range=(0, -1), message="d must be an integer >= 1, got ")
 SPIN = dict(valid=(-1, 0, 1), out_of_range=(2, -2), message=r"spin must be one of \(-1, 0, 1\), got ")
+POINTS_PER_REGION = dict(
+    valid=(1, 2, 3), out_of_range=(0, -3), message="points_per_region must be an integer >= 1, got "
+)
 K = dict(valid=(0, 1, 2, 3), out_of_range=(-1, 4), message=r"k must be an integer in \[0, 3\], got ")
 
 ARGS = {
@@ -70,6 +74,10 @@ ARGS = {
     "default_certification_spec": IntArg(
         lambda d: run_sweep(default_certification_spec(d, points_per_region=1)).to_json(), **DIMENSION
     ),
+    "default_certification_spec.points_per_region": IntArg(
+        lambda n: default_certification_spec(1, points_per_region=n), **POINTS_PER_REGION
+    ),
+    "sample_strip_points": IntArg(sample_strip_points, **POINTS_PER_REGION),
     "NeighborConfig": IntArg(lambda s: NeighborConfig((s, 0, 1, -1)), **SPIN),
     "pair_energy.si": IntArg(lambda s: pair_energy(s, 1, -0.3, 0.7), **SPIN),
     "pair_energy.sj": IntArg(lambda s: pair_energy(-1, s, -0.3, 0.7), **SPIN),

@@ -178,6 +178,43 @@ class TestMaxTv:
         assert len(top) == len(cls) == len(pair) == 0
 
 
+class TestBisect:
+    @staticmethod
+    def sequential(fails, lo, hi, tol):
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if fails(mid):
+                hi = mid
+            else:
+                lo = mid
+        return lo, hi
+
+    @pytest.mark.parametrize("levels", [1, 2, 3, 5, 8])
+    def test_matches_one_probe_per_step(self, levels):
+        rng = random.Random(levels)
+        for _ in range(50):
+            lo = rng.uniform(-3.0, 3.0)
+            hi = lo + rng.uniform(1e-3, 10.0)
+            root, tol = rng.uniform(lo, hi), 10.0 ** rng.uniform(-12, -2)
+            sizes = []
+
+            def fails(mids):
+                sizes.append(len(mids))
+                return [m >= root for m in mids]
+
+            got = kernel.bisect(fails, lo, hi, tol, levels)
+            assert got == self.sequential(lambda m: m >= root, lo, hi, tol)
+            assert got[1] - got[0] <= tol
+            # every round asks for the whole heap of midpoints, even the last
+            assert sizes and set(sizes) == {2**levels - 1}
+
+    def test_narrow_bracket_is_returned_unprobed(self):
+        def fails(mids):
+            raise AssertionError("no probe expected")
+
+        assert kernel.bisect(fails, 1.0, 1.5, 0.5, 3) == (1.0, 1.5)
+
+
 def bits(values) -> bytes:
     return struct.pack(f"{len(values)}d", *values)
 

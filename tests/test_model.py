@@ -43,6 +43,13 @@ class TestPairEnergy:
         with pytest.raises(DomainError):
             pair_energy(2, 0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_couplings(self, bad):
+        with pytest.raises(DomainError, match="x must be finite"):
+            pair_energy(1, 1, bad, 0.0)
+        with pytest.raises(DomainError, match="y must be finite"):
+            pair_energy(1, 1, 0.0, bad)
+
 
 class TestClassifyRegion:
     def test_examples(self):
@@ -97,6 +104,10 @@ class TestGroundPairs:
             x, y = point_in_major(major, rng)
             assert ground_pairs(x, y) == GROUND_BY_MAJOR[major]
             assert classify_region(x, y).major is major
+
+    def test_non_finite_coupling_is_domain_error(self):
+        with pytest.raises(DomainError, match="x must be finite"):
+            ground_pairs(math.nan, 0.0)
 
     def test_boundary_degeneracy_raises(self):
         # on 1 + 2x + y = 0 the pairs ++ and 00 tie

@@ -19,7 +19,7 @@ from beg_dobrushin import (
 from beg_dobrushin.bounds import require_sub_region
 from beg_dobrushin.model import SubRegion
 
-from conftest import point_in_band
+from conftest import point_in_band, sequential_t_d
 
 
 class TestSolveTd:
@@ -30,6 +30,10 @@ class TestSolveTd:
     @pytest.mark.parametrize("d", range(1, 8))
     def test_root_residual(self, d):
         assert abs(r_of_t(solve_t_d(d)) - 1 / (2 * d)) <= 1e-10
+
+    @pytest.mark.parametrize("d", range(1, 51))
+    def test_matches_sequential_bisection(self, d):
+        assert solve_t_d(d).hex() == sequential_t_d(d).hex()
 
     def test_one_dimension(self):
         assert r_of_t(solve_t_d(1)) == pytest.approx(0.5, abs=1e-10)

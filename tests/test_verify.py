@@ -95,6 +95,12 @@ class TestSweepSpec:
         with pytest.raises(TypeError):
             small_spec(beta_grid=("0.5",))
 
+    def test_check_names_rejected(self):
+        with pytest.raises(TypeError, match="^sweep checks must be Check members, got 'TVvsLemma1'$"):
+            small_spec(checks={"TVvsLemma1"})
+        with pytest.raises(TypeError, match="got None"):
+            small_spec(checks={Check.TV_VS_LEMMA1, None})
+
 
 class TestRunSweep:
     def test_zero_temperature_grid_vacuous(self):
