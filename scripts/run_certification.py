@@ -31,6 +31,9 @@ def main():
     parser.add_argument("--points-per-region", type=int, default=20)
     parser.add_argument("--seed", type=int, default=2026)
     args = parser.parse_args()
+    # an empty sample would certify nothing, so refuse it before making out_dir
+    if args.points_per_region < 1:
+        parser.error(f"--points-per-region must be >= 1, got {args.points_per_region}")
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

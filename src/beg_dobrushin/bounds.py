@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError
 from .kernel import math_map
-from .model import STRIP_BANDS, ModelParams, NeighborConfig, SubRegion, check_int, check_spin, classify_region
+from .model import STRIP_BANDS, ModelParams, NeighborConfig, SubRegion, check_int, check_real, check_spin, classify_region
 
 
 @dataclass(frozen=True)
@@ -114,14 +114,19 @@ def beta_critical(ep: ExponentPair) -> float:
     return beta_c
 
 
+def _r(t: float) -> float:
+    """r_of_t without its guard: nan for t = inf, so an overflowing exponent
+    a reaches the sweep's slack check rather than raising here."""
+    return 4.0 / (1.0 + t) * math.exp(-t * math.log1p(1.0 / t))
+
+
 def r_of_t(t: float) -> float:
-    """Value of the bound at its temperature optimum: (4/(1+t)) * (1+1/t)^(-t).
+    """Value of the bound at its temperature optimum: (4/(1+t)) * (1+1/t)^(-t),
+    for a finite real t > 0 (see check_real).
 
     Strictly decreasing on (0, inf) with r(1) = 1.
     """
-    if t <= 0:
-        raise DomainError(f"t must be positive, got {t}")
-    return 4.0 / (1.0 + t) * math.exp(-t * math.log1p(1.0 / t))
+    return _r(check_real("t", t, "be positive", lambda t: t > 0))
 
 
 def _check_pair(nb: NeighborConfig, sigma1_tilde: int) -> int:
@@ -134,9 +139,7 @@ def _check_pair(nb: NeighborConfig, sigma1_tilde: int) -> int:
 
 def theta(s: int, nb: NeighborConfig, sigma1_tilde: int, params: ModelParams) -> float:
     """One signed term of the TV decomposition for origin spin s in {-1, +1}."""
-    s = check_spin(s)
-    if s == 0:
-        raise DomainError(f"s must be -1 or +1, got {s!r}")
+    s = check_int("s", s, "be -1 or +1", (-1, 1).__contains__)
     s1, st = nb.spins[0], _check_pair(nb, sigma1_tilde)
     beta = params.beta
     e_prefix = beta * (2 * params.d * params.x + params.y * nb.sigma_sq)
@@ -205,7 +208,8 @@ def case_bounds(d: int, points, bands, betas: np.ndarray) -> CaseBounds:
     point; bit-for-bit the scalar bounds.
 
     bands[i] is the band (A, B or C) of points[i], as classify_region gives
-    it; DomainError if one is not.  band_exponents and r_of_t run once per
+    it; DomainError if one is not.  band_exponents and _r (unguarded, so an
+    a that overflowed gives r = nan for the sweep to report) run once per
     point, then _case_terms once per band, with the band's x, y, a and b as
     columns.  math.exp and math.expm1 then run over whole arrays, each once
     per distinct input: 1 - exp(-2 beta) of Lemma 2 once per band and beta, the
@@ -217,7 +221,7 @@ def case_bounds(d: int, points, bands, betas: np.ndarray) -> CaseBounds:
     eps = [band_exponents(_strip_band(sub, x, y), d, x, y) for (x, y), sub in zip(points, bands)]
     columns = np.array([(x, y, ep.a, ep.b) for (x, y), ep in zip(points, eps)], dtype=np.float64).reshape(-1, 4)
     out = CaseBounds(*(np.empty((len(points), len(betas))) for _ in range(3)), np.empty(len(points)))
-    out.r[:] = [r_of_t(ep.a / ep.b) for ep in eps]
+    out.r[:] = [_r(ep.a / ep.b) for ep in eps]
     with np.errstate(over="ignore", invalid="ignore"):
         for sub in STRIP_BANDS:
             rows = [i for i, band in enumerate(bands) if band is sub]

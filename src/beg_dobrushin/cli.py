@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bounds, kernel, region, verify
 from .errors import DomainError
-from .model import ModelParams, classify_region
+from .model import ModelParams, check_int, check_real, classify_region
 
 SPEC_KEYS = ("d", "points", "beta_min", "beta_max", "beta_steps", "checks", "seed", "points_per_region")
 
@@ -66,8 +66,7 @@ def cmd_region(args) -> tuple[str, int]:
 
 
 def cmd_curve(args) -> tuple[str, int]:
-    if args.steps < 2:
-        raise DomainError(f"--steps must be >= 2, got {args.steps}")
+    check_int("--steps", args.steps, "be >= 2", lambda n: n >= 2)
     # linspace forms y_max - y_min, which overflows for far-apart endpoints
     if not math.isfinite(args.y_max - args.y_min):
         raise DomainError(
@@ -100,14 +99,11 @@ def cmd_bounds(args) -> tuple[str, int]:
 
 
 def cmd_scan(args) -> tuple[str, int]:
-    if args.steps < 2:
-        raise DomainError(f"--steps must be >= 2, got {args.steps}")
+    check_int("--steps", args.steps, "be >= 2", lambda n: n >= 2)
     # the grid lies between its endpoints, so checking them checks it all;
     # checking them first keeps a negative endpoint away from linspace
     for name, beta in (("--beta-min", args.beta_min), ("--beta-max", args.beta_max)):
-        if beta < 0:
-            raise DomainError(f"{name} must be >= 0, got {beta!r}")
-        ModelParams(x=args.x, y=args.y, beta=beta, d=args.d)
+        ModelParams(x=args.x, y=args.y, beta=check_real(name, beta, "be >= 0", lambda b: b >= 0), d=args.d)
     if args.log:
         betas = _log_grid(args.beta_min, args.beta_max, args.steps, ("--beta-min", "--beta-max"))
     else:
@@ -159,8 +155,7 @@ def _log_grid(beta_min: float, beta_max: float, steps: int, names: tuple[str, st
     """Geometric beta grid; names are the option or key names of its two
     endpoints, for the error raised when one is not positive."""
     for name, value in zip(names, (beta_min, beta_max)):
-        if value <= 0:
-            raise DomainError(f"{name} must be > 0 for a logarithmic beta grid, got {value!r}")
+        check_real(name, value, "be > 0 for a logarithmic beta grid", lambda v: v > 0)
     return verify.log_beta_grid(beta_min, beta_max, steps)
 
 
@@ -185,8 +180,7 @@ def _spec_from_args(args) -> verify.SweepSpec:
     points_per_region = pick(args.points_per_region, "points_per_region", int, 20)
     # an empty grid would certify nothing and still report every check passed
     for key, value in (("beta_steps", beta_steps), ("points_per_region", points_per_region)):
-        if value < 1:
-            raise DomainError(f"{source[key]} must be >= 1, got {value}")
+        check_int(source[key], value, "be >= 1", lambda n: n >= 1)
 
     if "points" in file_values:
         points = []

@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations_with_replacement
 
+import numpy as np
+
 from .errors import DegenerateGroundStateError, DomainError
 
 SPIN_VALUES = (-1, 0, 1)
@@ -18,6 +20,9 @@ _SPIN_WANT = f"be one of {SPIN_VALUES}"
 BOUNDARY_TOL = 1e-12
 
 _ENERGY_TIE_TOL = 1e-12
+
+# the types check_real takes (a bool is an int, and is refused separately)
+_REALS = (int, float, np.integer, np.floating)
 
 
 def check_int(name: str, value, want: str, ok) -> int:
@@ -38,10 +43,22 @@ def check_spin(value: int) -> int:
     return check_int("spin", value, _SPIN_WANT, SPIN_VALUES.__contains__)
 
 
-def check_finite(name: str, value: float) -> float:
-    if not math.isfinite(value):
+def check_real(name: str, value, want: str = "be finite", ok=lambda v: True) -> float:
+    """value as a float, if it is an int, a float or a numpy integer or
+    floating scalar (not a bool) that is finite and for which ok(float)
+    holds.  TypeError "<name> must be a real number, got <value!r>" for any
+    other type; DomainError "<name> must be finite, got <value!r>" for a
+    non-finite value and "<name> must <want>, got <value!r>" where ok
+    fails."""
+    # the type test first, so floats skip the slower isinstance checks
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, _REALS)):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    as_float = float(value)
+    if not math.isfinite(as_float):
         raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
+    if not ok(as_float):
+        raise DomainError(f"{name} must {want}, got {value!r}")
+    return as_float
 
 
 def check_dimension(d: int) -> int:
@@ -52,7 +69,8 @@ def check_dimension(d: int) -> int:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Couplings (x, y), inverse temperature beta and lattice dimension d."""
+    """Couplings (x, y), inverse temperature beta >= 0 and lattice dimension
+    d, stored as floats and an int (see check_real and check_dimension)."""
 
     x: float
     y: float
@@ -60,10 +78,9 @@ class ModelParams:
     d: int
 
     def __post_init__(self):
-        for name in ("x", "y", "beta"):
-            check_finite(name, getattr(self, name))
-        if self.beta < 0:
-            raise DomainError(f"beta must be >= 0, got {self.beta}")
+        object.__setattr__(self, "x", check_real("x", self.x))
+        object.__setattr__(self, "y", check_real("y", self.y))
+        object.__setattr__(self, "beta", check_real("beta", self.beta, "be >= 0", lambda b: b >= 0))
         object.__setattr__(self, "d", check_dimension(self.d))
 
 
@@ -133,7 +150,7 @@ def pair_energy(si: int, sj: int, x: float, y: float) -> float:
     """Energy of a nearest-neighbor spin pair: -(si*sj + y*si^2*sj^2 + x*(si^2+sj^2));
     DomainError for a bad spin or a non-finite x or y."""
     si, sj = check_spin(si), check_spin(sj)
-    x, y = check_finite("x", x), check_finite("y", y)
+    x, y = check_real("x", x), check_real("y", y)
     return -(si * sj + y * si * si * sj * sj + x * (si * si + sj * sj))
 
 
@@ -143,10 +160,9 @@ def classify_region(x: float, y: float) -> RegionLabel:
     Points within BOUNDARY_TOL of a defining hyperplane get the Boundary label.
     Inside the disordered region, the sub-label picks out the y-band (A: y >= 1,
     B: |y| < 1, C: y <= -1) of the strip x + y + 1 < 0, x < 0; disordered points
-    outside that strip are tagged OutsideU.  Non-finite x or y is a DomainError.
+    outside that strip are tagged OutsideU.  x and y pass check_real.
     """
-    check_finite("x", x)
-    check_finite("y", y)
+    x, y = check_real("x", x), check_real("y", y)
     p = 1 + 2 * x + y
     q = 1 + x + y
     if p > BOUNDARY_TOL and q > BOUNDARY_TOL:

@@ -6,10 +6,10 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .bounds import _rate, r_of_t
+from .bounds import _r, _rate
 from .errors import DomainError
 from .kernel import bisect
-from .model import STRIP_BANDS, check_dimension, check_finite, classify_region
+from .model import STRIP_BANDS, check_dimension, check_real, classify_region
 
 _BISECT_TOL = 1e-12
 
@@ -25,9 +25,9 @@ def _solve_t_d(d: int) -> float:
     1/(2d), so [1, T] brackets the root once r(T) < 1/(2d)."""
     target = 1.0 / (2 * d)
     hi = 2.0
-    while r_of_t(hi) >= target:
+    while _r(hi) >= target:
         hi *= 2
-    lo, hi = bisect(lambda ts: [r_of_t(t) <= target for t in ts], 1.0, hi, _BISECT_TOL)
+    lo, hi = bisect(lambda ts: [_r(t) <= target for t in ts], 1.0, hi, _BISECT_TOL)
     return 0.5 * (lo + hi)
 
 
@@ -42,7 +42,7 @@ def _curve_x(d: int, y: float) -> float:
 def curve_x(d: int, y: float) -> float:
     """The polygonal uniqueness boundary x(d, y) solving a(d, x, y)/b(y) = t_d;
     DomainError if it overflows."""
-    y, d = check_finite("y", y), check_dimension(d)
+    y, d = check_real("y", y), check_dimension(d)
     x = _curve_x(d, y)
     if not math.isfinite(x):
         raise DomainError(f"curve x is {x!r} at y={y!r} (d = {d}); y is too large in magnitude")
@@ -53,6 +53,7 @@ def in_dobrushin_region(d: int, x: float, y: float) -> bool:
     """True iff (x, y) lies in A|B|C and strictly left of the boundary curve,
     i.e. the optimized bound beats the 1/(2d) threshold for every temperature.
     Where the curve overflows to -inf, no finite x lies left of it."""
+    x, y = check_real("x", x), check_real("y", y)
     sub = classify_region(x, y).sub
     d = check_dimension(d)
     return sub in STRIP_BANDS and x < _curve_x(d, y)

@@ -14,7 +14,7 @@ import numpy as np
 from . import bounds, kernel
 from .errors import DomainError
 from .kernel import PAIR_ORDER
-from .model import STRIP_BANDS, ModelParams, check_dimension, check_finite, check_int, classify_region
+from .model import STRIP_BANDS, ModelParams, check_dimension, check_int, check_real, classify_region
 
 SLACK_TOL = 1e-12
 MAX_WITNESSES = 100
@@ -48,9 +48,9 @@ class SweepSpec:
                 x, y = point
             except (TypeError, ValueError):
                 raise DomainError(f"sweep point must be an (x, y) pair, got {point!r}") from None
-            points.append((float(check_finite("point coordinate", x)), float(check_finite("point coordinate", y))))
+            points.append((check_real("point coordinate", x), check_real("point coordinate", y)))
         object.__setattr__(self, "points", tuple(points))
-        grid = tuple(float(check_finite("beta grid value", b)) for b in self.beta_grid)
+        grid = tuple(check_real("beta grid value", b, "be >= 0", lambda b: b >= 0) for b in self.beta_grid)
         object.__setattr__(self, "beta_grid", grid)
         checks = frozenset(self.checks)
         for check in checks:
@@ -58,8 +58,6 @@ class SweepSpec:
                 raise TypeError(f"sweep checks must be Check members, got {check!r}")
         object.__setattr__(self, "checks", checks)
         object.__setattr__(self, "d", check_dimension(self.d))
-        if any(b < 0 for b in grid):
-            raise DomainError("beta grid values must be >= 0")
         if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
             raise DomainError("beta grid must be strictly increasing")
 
@@ -222,7 +220,8 @@ def find_failure_beta(d: int, x: float, y: float) -> float | None:
     beta on, so checking each midpoint raises nothing the walk would not.
     """
     grid = np.geomspace(1e-3, 100.0, 120)
-    d = ModelParams(x=x, y=y, beta=float(grid[0]), d=d).d
+    params = ModelParams(x=x, y=y, beta=float(grid[0]), d=d)
+    d, x, y = params.d, params.x, params.y
     threshold = 1.0 / (2 * d)
     top = kernel.max_tv(d, x, y, grid)[0]
     # the grid is read in order up to its first failing or non-finite value
@@ -246,8 +245,9 @@ def find_failure_beta(d: int, x: float, y: float) -> float | None:
 def sample_strip_points(points_per_region: int, seed: int = 2026) -> tuple[tuple[float, float], ...]:
     """Deterministic sample of coupling points, `points_per_region` in each of
     the three y-bands of the strip x + y + 1 < 0, x < 0; DomainError unless
-    points_per_region is an integer >= 1."""
+    points_per_region is an integer >= 1 and seed an integer."""
     points_per_region = check_int("points_per_region", points_per_region, "be an integer >= 1", lambda n: n >= 1)
+    seed = check_int("seed", seed, "be an integer", lambda _: True)
     rng = random.Random(seed)
     pts: list[tuple[float, float]] = []
     for _ in range(points_per_region):  # A: y >= 1
@@ -269,7 +269,7 @@ def log_beta_grid(beta_min: float = 1e-3, beta_max: float = 50.0, n: int = 40) -
 def default_certification_spec(d: int, points_per_region: int = 20, seed: int = 2026) -> SweepSpec:
     """The standard domination-certification sweep for one dimension: the
     bound checks on the default beta grid, at points_per_region (an integer
-    >= 1) sample points in each band."""
+    >= 1) sample points in each band, drawn from seed (an integer)."""
     return SweepSpec(
         d=d,
         points=sample_strip_points(points_per_region, seed=seed),

@@ -1,8 +1,8 @@
 """The integer contract of the public API: each integer argument (a dimension
-d, a spin, a box side, a neighbour count k, a points-per-region count) takes an
-int or a numpy integer and gives the int's result bit for bit; a bool, a
-float, a 0-d array, a string, None or an out-of-range int raises DomainError
-naming the argument."""
+d, a spin, a box side, a neighbour count k, a points-per-region count, a
+sampling seed) takes an int or a numpy integer and gives the int's result bit
+for bit; a bool, a float, a 0-d array, a string, None or an out-of-range int
+raises DomainError naming the argument."""
 
 from typing import Callable, NamedTuple
 
@@ -61,6 +61,7 @@ SPIN = dict(valid=(-1, 0, 1), out_of_range=(2, -2), message=r"spin must be one o
 POINTS_PER_REGION = dict(
     valid=(1, 2, 3), out_of_range=(0, -3), message="points_per_region must be an integer >= 1, got "
 )
+SEED = dict(valid=(0, 1, 42), out_of_range=(), message="seed must be an integer, got ")
 K = dict(valid=(0, 1, 2, 3), out_of_range=(-1, 4), message=r"k must be an integer in \[0, 3\], got ")
 
 ARGS = {
@@ -78,6 +79,8 @@ ARGS = {
         lambda n: default_certification_spec(1, points_per_region=n), **POINTS_PER_REGION
     ),
     "sample_strip_points": IntArg(sample_strip_points, **POINTS_PER_REGION),
+    "default_certification_spec.seed": IntArg(lambda n: default_certification_spec(1, 1, seed=n), **SEED),
+    "sample_strip_points.seed": IntArg(lambda n: sample_strip_points(2, seed=n), **SEED),
     "NeighborConfig": IntArg(lambda s: NeighborConfig((s, 0, 1, -1)), **SPIN),
     "pair_energy.si": IntArg(lambda s: pair_energy(s, 1, -0.3, 0.7), **SPIN),
     "pair_energy.sj": IntArg(lambda s: pair_energy(-1, s, -0.3, 0.7), **SPIN),

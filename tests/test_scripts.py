@@ -30,3 +30,15 @@ def test_run_certification_writes_passing_reports(tmp_path):
         assert all(check["pass"] for check in report["checks"])
         rev = report["meta"]["git_rev"]
         assert rev is None or re.fullmatch("[0-9a-f]{40}", rev)
+
+
+def test_run_certification_rejects_empty_sample_before_writing(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out_dir = tmp_path / "reports"
+    argv = [sys.executable, str(ROOT / "scripts" / "run_certification.py"),
+            "--points-per-region", "0", "--out-dir", str(out_dir)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.endswith("error: --points-per-region must be >= 1, got 0\n")
+    assert "Traceback" not in done.stderr
+    assert not out_dir.exists()

@@ -180,6 +180,21 @@ class TestRunSweep:
             with pytest.raises(DomainError, match=r"TVvsLemma1 slack is nan at point \(-2e\+307"):
                 run_sweep(spec)
 
+    @pytest.mark.parametrize(
+        "point, message",
+        [
+            # a = 2d|x + y + 1| overflows to inf, so r(a/b) is nan: the case
+            # bounds must report it through the slack, not raise on t = inf
+            ((-1.5e308, 0.5), "AllvsTheorem1 slack is nan at point (-1.5e+308, 0.5)"),
+            ((-1e308, -1e308), "TVvsLemma1 slack is nan at point (-1e+308, -1e+308)"),
+        ],
+    )
+    def test_overflowing_exponent_slack_raises(self, point, message):
+        spec = small_spec(points=(point,), beta_grid=log_beta_grid(1e-3, 50, 5))
+        with pytest.raises(DomainError) as err:
+            run_sweep(spec)
+        assert str(err.value) == f"{message}; the point is too large in magnitude"
+
     def test_deterministic_serialization(self):
         spec = small_spec(checks=ALL_CHECKS)
         first = run_sweep(spec).to_json()
