@@ -5,16 +5,17 @@ The domain contract of every public entry:
 - finite in-domain input gives a finite result, computed from the Python
   float or int of each argument, so no numpy scalar type reaches a result;
 - a real argument (a coupling x or y, an inverse temperature beta, a sweep
-  point coordinate or grid beta, the ratio t of r_of_t) passes
-  model.check_real: it is an int, a float, or a numpy integer or floating
-  scalar; a nan, an infinity or a value outside the argument's domain raises
-  DomainError, and any other type (a bool, a str, None, an array) raises
-  TypeError;
+  point coordinate or grid beta, the ratio t of r_of_t, a probability of a
+  SpinDistribution) passes model.check_real: it is an int, a float, or a
+  numpy integer or floating scalar; a nan, an infinity, an int beyond the
+  float range or a value outside the argument's domain raises DomainError,
+  and any other type (a bool, a str, None, an array) raises TypeError;
 - an integer argument (a dimension d, a spin, a box side, a neighbour count
   k, a points-per-region count, a sampling seed) passes model.check_int: it
   is an int or a numpy integer; any other type or an out-of-range value
   raises DomainError;
-- every message names the argument: "<name> must ..., got <value!r>";
+- every message names the argument: "<name> must ..., got <value!r>", with
+  an int beyond the float range shown by its size in bits, not its repr;
 - ExponentPair is the one exception to finiteness: it admits a = +inf, which
   band_exponents gives where 2d|x + y + 1| overflows; what reads it
   (beta_critical, the sweep's slack check, the CLI's output fields) raises

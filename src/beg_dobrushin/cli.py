@@ -21,8 +21,6 @@ from . import bounds, kernel, region, verify
 from .errors import DomainError
 from .model import ModelParams, check_int, check_real, classify_region
 
-SPEC_KEYS = ("d", "points", "beta_min", "beta_max", "beta_steps", "checks", "seed", "points_per_region")
-
 
 def _fmt(value: float) -> str:
     return format(value, ".9g")
@@ -105,7 +103,7 @@ def cmd_scan(args) -> tuple[str, int]:
     for name, beta in (("--beta-min", args.beta_min), ("--beta-max", args.beta_max)):
         ModelParams(x=args.x, y=args.y, beta=check_real(name, beta, "be >= 0", lambda b: b >= 0), d=args.d)
     if args.log:
-        betas = _log_grid(args.beta_min, args.beta_max, args.steps, ("--beta-min", "--beta-max"))
+        betas = _log_grid(args.beta_min, args.beta_max, args.steps)
     else:
         betas = np.linspace(args.beta_min, args.beta_max, args.steps).tolist()
     threshold = 1.0 / (2 * args.d)
@@ -115,105 +113,31 @@ def cmd_scan(args) -> tuple[str, int]:
     return _format(rows, args.format), 0
 
 
-def parse_spec_file(path: str) -> dict:
-    """Flat key = value spec document with keys from SPEC_KEYS, each at most
-    once; '#' starts a comment."""
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise DomainError(f"{path}: not a text file ({exc.reason})") from None
-    values: dict[str, str] = {}
-    lines_of: dict[str, int] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DomainError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in SPEC_KEYS:
-            raise DomainError(
-                f"{path}:{lineno}: unknown key {key!r}; valid keys: {', '.join(SPEC_KEYS)}"
-            )
-        if key in values:
-            raise DomainError(f"{path}:{lineno}: key {key!r} is already set on line {lines_of[key]}")
-        values[key], lines_of[key] = value, lineno
-    return values
-
-
-def _cast(cast, text: str, name: str):
-    """cast(text), with a DomainError naming the key or option on failure."""
-    try:
-        return cast(text)
-    except (ValueError, argparse.ArgumentTypeError):
-        kind = "an integer" if cast is int else "a finite number"
-        raise DomainError(f"{name}: expected {kind}, got {text!r}") from None
-
-
-def _log_grid(beta_min: float, beta_max: float, steps: int, names: tuple[str, str]) -> tuple[float, ...]:
-    """Geometric beta grid; names are the option or key names of its two
-    endpoints, for the error raised when one is not positive."""
-    for name, value in zip(names, (beta_min, beta_max)):
+def _log_grid(beta_min: float, beta_max: float, steps: int) -> tuple[float, ...]:
+    """Geometric beta grid from --beta-min to --beta-max, both checked > 0."""
+    for name, value in (("--beta-min", beta_min), ("--beta-max", beta_max)):
         check_real(name, value, "be > 0 for a logarithmic beta grid", lambda v: v > 0)
     return verify.log_beta_grid(beta_min, beta_max, steps)
 
 
 def _spec_from_args(args) -> verify.SweepSpec:
-    file_values = parse_spec_file(args.spec) if args.spec else {}
-    source = {}  # key -> the option or spec key its value came from, for errors
-
-    def pick(flag_value, key, cast, default):
-        if flag_value is not None:
-            source[key] = "-d" if key == "d" else "--" + key.replace("_", "-")
-            return flag_value
-        source[key] = key
-        if key in file_values:
-            return _cast(cast, file_values[key], key)
-        return default
-
-    d = pick(args.d, "d", int, 2)
-    beta_min = pick(args.beta_min, "beta_min", _finite_float, 1e-3)
-    beta_max = pick(args.beta_max, "beta_max", _finite_float, 50.0)
-    beta_steps = pick(args.beta_steps, "beta_steps", int, 40)
-    seed = pick(args.seed, "seed", int, 2026)
-    points_per_region = pick(args.points_per_region, "points_per_region", int, 20)
     # an empty grid would certify nothing and still report every check passed
-    for key, value in (("beta_steps", beta_steps), ("points_per_region", points_per_region)):
-        check_int(source[key], value, "be >= 1", lambda n: n >= 1)
+    for name, value in (("--beta-steps", args.beta_steps), ("--points-per-region", args.points_per_region)):
+        check_int(name, value, "be >= 1", lambda n: n >= 1)
+    points = args.points or verify.sample_strip_points(args.points_per_region, seed=args.seed)
 
-    if "points" in file_values:
-        points = []
-        for chunk in file_values["points"].split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            coords = chunk.split(",")
-            if len(coords) != 2:
-                raise DomainError(f"points: expected 'x,y' pairs separated by ';', got {chunk!r}")
-            points.append(tuple(_cast(_finite_float, c, "points") for c in coords))
-        points = tuple(points)
-    else:
-        points = verify.sample_strip_points(points_per_region, seed=seed)
-
-    if args.checks is not None:
-        names = args.checks
-    elif "checks" in file_values:
-        names = file_values["checks"]
-    else:
-        names = None
-    if names is None:
+    if args.checks is None:
         checks = verify.BOUND_CHECKS
     else:
         by_value = {c.value: c for c in verify.Check}
         checks = set()
-        for name in (part.strip() for part in names.split(",")):
+        for name in (part.strip() for part in args.checks.split(",")):
             if name not in by_value:
                 raise DomainError(f"unknown check {name!r}; valid checks: {', '.join(by_value)}")
             checks.add(by_value[name])
 
-    beta_grid = _log_grid(beta_min, beta_max, beta_steps, (source["beta_min"], source["beta_max"]))
-    return verify.SweepSpec(d=d, points=points, beta_grid=beta_grid, checks=checks)
+    beta_grid = _log_grid(args.beta_min, args.beta_max, args.beta_steps)
+    return verify.SweepSpec(d=args.d, points=points, beta_grid=beta_grid, checks=checks)
 
 
 def cmd_verify(args) -> tuple[str, int, str]:
@@ -299,13 +223,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify", help="run a certification sweep")
-    p.add_argument("--spec", default=None, help="flat key = value spec file")
-    p.add_argument("-d", type=int, default=None)
-    p.add_argument("--beta-min", type=_finite_float, default=None)
-    p.add_argument("--beta-max", type=_finite_float, default=None)
-    p.add_argument("--beta-steps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--points-per-region", type=int, default=None)
+    p.add_argument("-d", type=int, default=2)
+    p.add_argument("--point", nargs=2, type=_finite_float, action="append", dest="points",
+                   metavar=("X", "Y"), help="a sweep point; repeat for more (default: sampled strip points)")
+    p.add_argument("--beta-min", type=_finite_float, default=1e-3)
+    p.add_argument("--beta-max", type=_finite_float, default=50.0)
+    p.add_argument("--beta-steps", type=int, default=40)
+    p.add_argument("--seed", type=int, default=2026)
+    p.add_argument("--points-per-region", type=int, default=20)
     p.add_argument("--checks", default=None, help="comma-separated check names")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_verify)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations_with_replacement
@@ -25,16 +26,24 @@ _ENERGY_TIE_TOL = 1e-12
 _REALS = (int, float, np.integer, np.floating)
 
 
+def _shown(value) -> str:
+    """repr(value), or for an int beyond the float range its size: such an
+    int's repr can pass Python's limit on int-to-text conversion."""
+    if isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max:
+        return f"an int too large for a float ({int(value).bit_length()} bits)"
+    return repr(value)
+
+
 def check_int(name: str, value, want: str, ok) -> int:
     """value as an int, if it is an int or a numpy integer (not a bool) for
     which ok(value) holds; DomainError "<name> must <want>, got <value!r>"
-    otherwise."""
+    otherwise (an int beyond the float range shown by its size)."""
     # the type test first, so ints skip the slower numbers.Integral check
     if type(value) is int or (not isinstance(value, bool) and isinstance(value, numbers.Integral)):
         as_int = int(value)
         if ok(as_int):
             return as_int
-    raise DomainError(f"{name} must {want}, got {value!r}")
+    raise DomainError(f"{name} must {want}, got {_shown(value)}")
 
 
 def check_spin(value: int) -> int:
@@ -48,14 +57,17 @@ def check_real(name: str, value, want: str = "be finite", ok=lambda v: True) -> 
     floating scalar (not a bool) that is finite and for which ok(float)
     holds.  TypeError "<name> must be a real number, got <value!r>" for any
     other type; DomainError "<name> must be finite, got <value!r>" for a
-    non-finite value and "<name> must <want>, got <value!r>" where ok
-    fails."""
+    non-finite value or an int beyond the float range, and "<name> must
+    <want>, got <value!r>" where ok fails."""
     # the type test first, so floats skip the slower isinstance checks
     if type(value) is not float and (isinstance(value, bool) or not isinstance(value, _REALS)):
         raise TypeError(f"{name} must be a real number, got {value!r}")
-    as_float = float(value)
+    try:
+        as_float = float(value)
+    except OverflowError:  # an int beyond the float range
+        as_float = math.inf
     if not math.isfinite(as_float):
-        raise DomainError(f"{name} must be finite, got {value!r}")
+        raise DomainError(f"{name} must be finite, got {_shown(value)}")
     if not ok(as_float):
         raise DomainError(f"{name} must {want}, got {value!r}")
     return as_float

@@ -14,7 +14,7 @@ import numpy as np
 from . import kernel
 from .errors import CapacityError, DomainError
 from .kernel import PAIR_ORDER
-from .model import SPIN_VALUES, ModelParams, NeighborConfig, check_int, check_spin, pair_energy
+from .model import SPIN_VALUES, ModelParams, NeighborConfig, _shown, check_int, check_real, check_spin, pair_energy
 
 _NORM_TOL = 1e-12
 
@@ -28,12 +28,12 @@ class SpinDistribution:
     p_plus: float
 
     def __post_init__(self):
+        for name in ("p_minus", "p_zero", "p_plus"):
+            p = check_real(name, getattr(self, name), "be in [0, 1]", lambda p: -_NORM_TOL <= p <= 1 + _NORM_TOL)
+            object.__setattr__(self, name, p)
         total = self.p_minus + self.p_zero + self.p_plus
         if abs(total - 1.0) > _NORM_TOL:
             raise DomainError(f"probabilities sum to {total}, not 1")
-        for p in (self.p_minus, self.p_zero, self.p_plus):
-            if not -_NORM_TOL <= p <= 1 + _NORM_TOL:
-                raise DomainError(f"probability {p} outside [0, 1]")
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.p_minus, self.p_zero, self.p_plus)
@@ -129,7 +129,7 @@ def finite_volume_marginal(
         raise DomainError("finite-volume boxes are supported for d=2 only")
     box_side = check_int("box_side", box_side, "be an integer", lambda _: True)
     if box_side not in (2, 3):
-        raise CapacityError(f"box_side must be 2 or 3, got {box_side}")
+        raise CapacityError(f"box_side must be 2 or 3, got {_shown(box_side)}")
     sites = [(i, j) for i in range(box_side) for j in range(box_side)]
     ring = boundary_ring(box_side)
     if isinstance(boundary, Mapping):

@@ -26,7 +26,7 @@ def run_cli(capsys, *argv):
 
 
 # a strip point so large that the Lemma 1 table overflows to nan
-NAN_SPEC = "d = 2\npoints = -2e307,1e307\nbeta_steps = 5\n"
+NAN_SPEC = ("-d", "2", "--point", "-2e307", "1e307", "--beta-steps", "5")
 
 
 class TestRegionCommand:
@@ -165,39 +165,35 @@ class TestVerifyCommand:
         assert all(check["pass"] for check in report["checks"])
         assert "pass" in err
 
-    def test_spec_file_failure_exits_one(self, capsys, tmp_path):
-        spec_path = tmp_path / "sweep.spec"
-        spec_path.write_text(
-            "# concluding-remark counterexample point\n"
-            "d = 2\n"
-            "points = 0,-2\n"
-            "beta_min = 0.001\n"
-            "beta_max = 50\n"
-            "beta_steps = 10\n"
-            "checks = DobrushinSatisfied\n"
-        )
+    def test_point_failure_exits_one(self, capsys, tmp_path):
+        # the concluding-remark counterexample point
         report_path = tmp_path / "report.json"
         code, _, err = run_cli(
-            capsys, "verify", "--spec", str(spec_path), "-o", str(report_path)
+            capsys, "verify", "-d", "2", "--point", "0", "-2", "--beta-steps", "10",
+            "--checks", "DobrushinSatisfied", "-o", str(report_path),
         )
         assert code == 1
         assert "FAIL" in err
         report = json.loads(report_path.read_text())
         assert report["checks"][0]["witnesses"]
 
-    def test_empty_points_vacuous_pass(self, capsys, tmp_path):
-        spec_path = tmp_path / "sweep.spec"
-        spec_path.write_text("d = 2\npoints = \nbeta_steps = 3\n")
-        code, out, _ = run_cli(capsys, "verify", "--spec", str(spec_path))
+    def test_points_keep_their_order(self, capsys):
+        points = [[-3.0, 0.5], [-0.5, -2.0], [-4.0, 1.5]]
+        argv = [arg for point in points for arg in ("--point", *map(str, point))]
+        code, out, _ = run_cli(capsys, "verify", "--beta-steps", "3", *argv)
         assert code == 0
-        report = json.loads(out)
-        assert all(check["pass"] for check in report["checks"])
+        assert json.loads(out)["meta"]["points"] == points
 
-    def test_bad_spec_file_is_usage_error(self, capsys, tmp_path):
-        spec_path = tmp_path / "sweep.spec"
-        spec_path.write_text("this is not a key value line\n")
-        code, _, err = run_cli(capsys, "verify", "--spec", str(spec_path))
-        assert code == 2
+    def test_exponent_form_negative_point(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--beta-steps", "3", "--point", "-6.7e-05", "0")
+        assert code == 0
+        assert json.loads(out)["meta"]["points"] == [[-6.7e-05, 0.0]]
+
+    def test_points_ignore_the_seed(self, capsys):
+        argv = ("verify", "--beta-steps", "3", "--point", "-3", "0.5")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert run_cli(capsys, *argv, "--seed", "7") == (code, out, err)
 
     def test_unknown_check_name_is_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -210,22 +206,10 @@ class TestVerifyCommand:
                      "DobrushinSatisfied"):
             assert name in err
 
-    def test_unknown_spec_key_names_its_line(self, capsys, tmp_path):
-        spec_path = tmp_path / "sweep.spec"
-        spec_path.write_text("d = 2\nbeta_stepz = 3\n")
-        code, out, err = run_cli(capsys, "verify", "--spec", str(spec_path))
-        assert code == 2
-        assert out == ""
-        assert f"{spec_path}:2" in err
-        assert "'beta_stepz'" in err
-
     def test_non_finite_slack_is_usage_error(self, capsys, tmp_path):
-        spec_path = tmp_path / "sweep.spec"
-        spec_path.write_text(NAN_SPEC)
         report_path = tmp_path / "report.json"
         code, out, err = run_cli(
-            capsys, "verify", "--spec", str(spec_path), "--checks", "TVvsLemma1",
-            "-o", str(report_path),
+            capsys, "verify", *NAN_SPEC, "--checks", "TVvsLemma1", "-o", str(report_path),
         )
         assert code == 2
         assert out == ""
@@ -233,12 +217,11 @@ class TestVerifyCommand:
         assert "(-2e+307, 1e+307)" in err
         assert not report_path.exists()
 
-    def test_non_finite_spec_value_is_usage_error(self, capsys, tmp_path):
-        spec_path = tmp_path / "sweep.spec"
-        spec_path.write_text("d = 2\npoints = nan,0\nbeta_steps = 3\n")
-        code, out, _ = run_cli(capsys, "verify", "--spec", str(spec_path))
+    def test_non_finite_spec_value_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--point", "nan", "0")
         assert code == 2
         assert out == ""
+        assert "argument --point: expected a finite number, got 'nan'" in err
 
     # Each pinned digest below is recorded for both of numpy's exp paths and
     # chosen by numpy_exp_is_math_exp(): False on numpy's AVX-512 exp kernel,
@@ -335,47 +318,26 @@ class TestNonFiniteInput:
 
 
 class TestBadValues:
-    """Malformed values exit 2 with a message naming the key or option."""
+    """Malformed values exit 2 with a message naming the option."""
 
     @pytest.mark.parametrize(
-        "text, name",
+        "argv, message",
         [
-            ("d = abc\n", "d:"),
-            ("seed = 1.5\n", "seed:"),
-            ("beta_max = lots\n", "beta_max:"),
-            ("points = 1,2,3\n", "points:"),
-            ("points = -3,zero\n", "points:"),
-            ("beta_steps = 0\n", "beta_steps"),
-            ("points_per_region = 0\n", "points_per_region"),
-            ("beta_min = 0\n", "beta_min"),
-            ("beta_max = inf\n", "beta_max:"),
-            ("beta_max = 1e400\n", "beta_max:"),
-            ("beta_min = nan\n", "beta_min:"),
-            ("points = nan,0\n", "points:"),
+            (("-d", "abc"), "argument -d: invalid int value: 'abc'"),
+            (("--seed", "1.5"), "argument --seed: invalid int value: '1.5'"),
+            (("--beta-max", "lots"), "argument --beta-max: expected a finite number, got 'lots'"),
+            (("--beta-max", "inf"), "argument --beta-max: expected a finite number, got 'inf'"),
+            (("--beta-max", "1e400"), "argument --beta-max: expected a finite number, got '1e400'"),
+            (("--beta-min", "nan"), "argument --beta-min: expected a finite number, got 'nan'"),
+            (("--point", "1", "2", "3"), "unrecognized arguments: 3"),
+            (("--point", "-3", "zero"), "argument --point: expected a finite number, got 'zero'"),
         ],
     )
-    def test_spec_file_value(self, capsys, tmp_path, text, name):
-        spec_path = tmp_path / "sweep.spec"
-        spec_path.write_text(text)
-        code, out, err = run_cli(capsys, "verify", "--spec", str(spec_path))
+    def test_unparsable_verify_value(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2
         assert out == ""
-        assert err.startswith(f"error: {name}")
-
-    def test_repeated_spec_key(self, capsys, tmp_path):
-        spec_path = tmp_path / "sweep.spec"
-        spec_path.write_text("d = 2\n# comment\nd = 3\n")
-        code, out, err = run_cli(capsys, "verify", "--spec", str(spec_path))
-        assert code == 2
-        assert out == ""
-        assert err.startswith(f"error: {spec_path}:3: key 'd'")
-
-    def test_binary_spec_file(self, capsys, tmp_path):
-        spec_path = tmp_path / "sweep.spec"
-        spec_path.write_bytes(b"d = \xff\xfe\n")
-        code, _, err = run_cli(capsys, "verify", "--spec", str(spec_path))
-        assert code == 2
-        assert str(spec_path) in err
+        assert message in err
 
     @pytest.mark.parametrize(
         "argv, name",
@@ -418,13 +380,6 @@ class TestBadValues:
         assert all(name in done.stderr for name in names)
         assert "RuntimeWarning" not in done.stderr
 
-    def test_flag_overrides_bad_spec_value(self, capsys, tmp_path):
-        spec_path = tmp_path / "sweep.spec"
-        spec_path.write_text("beta_steps = 0\npoints_per_region = 1\n")
-        code, _, err = run_cli(capsys, "verify", "--spec", str(spec_path), "--beta-steps", "2")
-        assert code == 0
-        assert "error" not in err
-
     def test_overflowing_csv_output(self, capsys):
         argv = ("curve", "-d", "2", "--y-min", "1e308", "--y-max", "1e308", "--steps", "2")
         code, out, err = run_cli(capsys, *argv, "--format", "csv")
@@ -464,20 +419,17 @@ class TestSingleWriter:
         "curve": ("curve", "-d", "2", "--y-min", "1e308", "--y-max", "1e308", "--steps", "2"),
         "bounds": ("bounds", "-d", "2", "-x", "-1e308", "-y", "1e307", "--beta", "1"),
         "scan": ("scan", "-d", "2", "-x", "1e308", "-y", "-1e308"),
-        "verify": ("verify", "--spec", "{spec}", "--checks", "TVvsLemma1"),
+        "verify": ("verify", *NAN_SPEC, "--checks", "TVvsLemma1"),
     }
 
     @pytest.mark.parametrize("command", FAILING)
     def test_failed_command_leaves_output_file_unchanged(self, capsys, tmp_path, command):
-        spec_path = tmp_path / "sweep.spec"
-        spec_path.write_text(NAN_SPEC)
         target = tmp_path / "earlier.out"
         target.write_bytes(b"earlier output\n")
-        argv = [arg.format(spec=spec_path) for arg in self.FAILING[command]]
-        code, out, err = run_cli(capsys, *argv, "-o", str(target))
+        code, out, err = run_cli(capsys, *self.FAILING[command], "-o", str(target))
         assert code == 2
         assert out == ""
-        assert "error: " in err
+        assert err.startswith("error: ")  # the command ran: not an argparse usage error
         assert target.read_bytes() == b"earlier output\n"
 
     SUCCEEDING = {

@@ -1,10 +1,11 @@
 """The float contract of the public API: each real argument (a coupling x or
 y, an inverse temperature beta, a sweep point coordinate or grid beta, the
-ratio t of r_of_t) takes an int, a float, or a numpy integer or floating
-scalar, and gives the result of float(value), of the same type and repr; nan
-and +-inf raise DomainError "<name> must be finite", a value outside the
-domain raises DomainError "<name> must ...", and a bool, np.bool_, str, None,
-0-d array or list raises TypeError naming the argument."""
+ratio t of r_of_t, a spin probability) takes an int, a float, or a numpy
+integer or floating scalar, and gives the result of float(value), of the same
+type and repr; nan, +-inf and an int beyond the float range raise DomainError
+"<name> must be finite", a value outside the domain raises DomainError
+"<name> must ...", and a bool, np.bool_, str, None, 0-d array or list raises
+TypeError naming the argument."""
 
 import math
 from typing import Callable, NamedTuple
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from beg_dobrushin import (
     DomainError,
     ModelParams,
+    SpinDistribution,
     SweepSpec,
     classify_region,
     curve_x,
@@ -30,6 +32,10 @@ from beg_dobrushin.verify import BOUND_CHECKS
 
 REAL_KINDS = (int, np.int8, np.int64, np.uint16, float, np.float16, np.float32, np.float64)
 NON_FINITE = (math.nan, math.inf, -math.inf, np.float32("nan"), np.float64("inf"), np.float16("-inf"))
+# ints beyond the float range; the repr of 10**5000 passes Python's 4300-digit
+# limit on int-to-text conversion, so no message may contain it
+HUGE_INTS = (pytest.param(10**400, id="10**400"), pytest.param(-10**400, id="-10**400"),
+             pytest.param(10**5000, id="10**5000"))
 NOT_REALS = (True, np.True_, "0.5", None, np.array(0.5), [0.5])
 
 
@@ -46,6 +52,7 @@ def _spec(points=((-5.0, 2.0),), beta_grid=(0.5, 2.0)):
 
 
 BETA = dict(valid=(0, 0.7, 3), out_of_range=(-1, -0.25), want="be >= 0")
+PROBABILITY = dict(out_of_range=(-0.25, 1.5), want="be in [0, 1]")
 
 ARGS = {
     "ModelParams.x": RealArg(lambda x: ModelParams(x=x, y=0.5, beta=0.7, d=2), "x", (-3, -0.3, 2)),
@@ -66,6 +73,9 @@ ARGS = {
     "find_failure_beta.x": RealArg(lambda x: find_failure_beta(2, x, -2.0), "x", (0, -0.3, 1)),
     "find_failure_beta.y": RealArg(lambda y: find_failure_beta(2, 0.0, y), "y", (-3, -2.25, 0)),
     "r_of_t": RealArg(r_of_t, "t", (0.5, 1, 7.25), out_of_range=(0, -1, -0.5), want="be positive"),
+    "SpinDistribution.p_minus": RealArg(lambda p: SpinDistribution(p, 0.5, 0.25), "p_minus", (0.25,), **PROBABILITY),
+    "SpinDistribution.p_zero": RealArg(lambda p: SpinDistribution(0.0, p, 0.0), "p_zero", (1,), **PROBABILITY),
+    "SpinDistribution.p_plus": RealArg(lambda p: SpinDistribution(0.25, 0.5, p), "p_plus", (0.25,), **PROBABILITY),
 }
 
 
@@ -97,7 +107,7 @@ def test_numeric_types_give_the_float_result(name, data):
     assert_same(arg.call(typed), arg.call(float(typed)))
 
 
-@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("bad", NON_FINITE + HUGE_INTS, ids=repr)
 @pytest.mark.parametrize("name", ARGS)
 def test_non_finite_rejected(name, bad):
     with pytest.raises(DomainError, match=f"^{ARGS[name].name} must be finite, got "):

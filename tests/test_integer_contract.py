@@ -37,6 +37,9 @@ from beg_dobrushin.verify import ALL_CHECKS, sample_strip_points
 
 NUMPY_INTS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
 NOT_INTS = (True, np.True_, 2.0, np.float64(2), np.array(2), "2", None)
+# its repr passes Python's 4300-digit limit on int-to-text conversion, so no
+# message may contain it
+HUGE = 10**5000
 
 PARAMS = ModelParams(x=-3.0, y=0.5, beta=0.7, d=2)
 BOX_PARAMS = ModelParams(x=-1.0, y=0.5, beta=0.7, d=2)
@@ -57,12 +60,12 @@ class IntArg(NamedTuple):
 
 
 DIMENSION = dict(valid=(1, 2, 3), out_of_range=(0, -1), message="d must be an integer >= 1, got ")
-SPIN = dict(valid=(-1, 0, 1), out_of_range=(2, -2), message=r"spin must be one of \(-1, 0, 1\), got ")
+SPIN = dict(valid=(-1, 0, 1), out_of_range=(2, -2, HUGE), message=r"spin must be one of \(-1, 0, 1\), got ")
 POINTS_PER_REGION = dict(
     valid=(1, 2, 3), out_of_range=(0, -3), message="points_per_region must be an integer >= 1, got "
 )
 SEED = dict(valid=(0, 1, 42), out_of_range=(), message="seed must be an integer, got ")
-K = dict(valid=(0, 1, 2, 3), out_of_range=(-1, 4), message=r"k must be an integer in \[0, 3\], got ")
+K = dict(valid=(0, 1, 2, 3), out_of_range=(-1, 4, HUGE), message=r"k must be an integer in \[0, 3\], got ")
 
 ARGS = {
     "ModelParams.d": IntArg(lambda d: ModelParams(x=-3.0, y=0.5, beta=0.7, d=d), **DIMENSION),
@@ -85,7 +88,8 @@ ARGS = {
     "pair_energy.si": IntArg(lambda s: pair_energy(s, 1, -0.3, 0.7), **SPIN),
     "pair_energy.sj": IntArg(lambda s: pair_energy(-1, s, -0.3, 0.7), **SPIN),
     "theta.s": IntArg(
-        lambda s: theta(s, _nb(1), 1, PARAMS), valid=(-1, 1), out_of_range=(0, 2, -2), message="(spin|s) must be "
+        lambda s: theta(s, _nb(1), 1, PARAMS), valid=(-1, 1), out_of_range=(0, 2, -2, HUGE),
+        message="(spin|s) must be ",
     ),
     "theta.sigma1_tilde": IntArg(lambda s: theta(-1, _nb(s), s, PARAMS), **SPIN),
     "psi.sigma1_tilde": IntArg(lambda s: psi(_nb(s), s, PARAMS), **SPIN),
@@ -130,17 +134,22 @@ def test_non_integers_rejected(name, bad):
         ARGS[name].call(bad)
 
 
+def _id(value) -> str:
+    return "10**5000" if type(value) is int and value == HUGE else repr(value)
+
+
 @pytest.mark.parametrize(
     "name, value",
-    [(name, kind(v)) for name, arg in ARGS.items() for v in arg.out_of_range for kind in (int, np.int64)],
-    ids=repr,
+    [(name, kind(v)) for name, arg in ARGS.items() for v in arg.out_of_range for kind in (int, np.int64)
+     if kind is int or v != HUGE],
+    ids=_id,
 )
 def test_out_of_range_integers_rejected(name, value):
     with pytest.raises(DomainError, match=f"^{ARGS[name].message}"):
         ARGS[name].call(value)
 
 
-@pytest.mark.parametrize("side", [-3, 0, 1, 4, np.int64(4), np.uint8(1)], ids=repr)
+@pytest.mark.parametrize("side", [-3, 0, 1, 4, np.int64(4), np.uint8(1), HUGE], ids=_id)
 def test_out_of_range_box_side_is_capacity_error(side):
     with pytest.raises(CapacityError, match="box_side must be 2 or 3, got "):
         finite_volume_marginal(BOX_PARAMS, side, 1)

@@ -115,6 +115,12 @@ class TestRunSweep:
         assert report.all_passed
         assert all(check.worst_slack is None for check in report.checks)
 
+    def test_empty_points_vacuous_pass(self):
+        report = run_sweep(small_spec(points=()))
+        assert report.all_passed
+        assert all(check.worst_slack is None for check in report.checks)
+        assert json.loads(report.to_json())["meta"]["points"] == []
+
     def test_small_certification_passes(self):
         report = run_sweep(small_spec())
         assert report.all_passed
