@@ -211,11 +211,9 @@ def case_bounds(d: int, points, bands, betas: np.ndarray) -> CaseBounds:
     it; DomainError if one is not.  band_exponents and _r (unguarded, so an
     a that overflowed gives r = nan for the sweep to report) run once per
     point, then _case_terms once per band, with the band's x, y, a and b as
-    columns.  math.exp and math.expm1 then run over whole arrays, each once
-    per distinct input: 1 - exp(-2 beta) of Lemma 2 once per band and beta, the
-    factor 1 - exp(g) that Lemma 3 and Theorem 1 share once per cell, and in
-    bands A and B, where Lemma 2 and Lemma 3 share their exponent e, exp(e)
-    once per cell.
+    columns.  math.exp and math.expm1 then run over whole arrays: 1 - exp(-2
+    beta) of Lemma 2 once per band and beta, and every other factor once per
+    cell, the 1 - exp(g) that Lemma 3 and Theorem 1 share included.
     """
     betas = np.asarray(betas, dtype=np.float64)
     eps = [band_exponents(_strip_band(sub, x, y), d, x, y) for (x, y), sub in zip(points, bands)]
@@ -230,9 +228,8 @@ def case_bounds(d: int, points, bands, betas: np.ndarray) -> CaseBounds:
             x, y, a, b = columns[rows].T[:, :, None]
             (c2, e2, g2), (c3, e3, g), (c1, e1, _) = _case_terms(sub, d, x, y, a, b, betas)
             f = -math_map(math.expm1, g)  # _decay's factor, as c * exp(e) * f
-            exp2 = math_map(math.exp, e2)
-            out.lemma2[rows] = c2 * exp2 * -math_map(math.expm1, g2)
-            out.lemma3[rows] = c3 * (exp2 if e3 is e2 else math_map(math.exp, e3)) * f
+            out.lemma2[rows] = c2 * math_map(math.exp, e2) * -math_map(math.expm1, g2)
+            out.lemma3[rows] = c3 * math_map(math.exp, e3) * f
             out.theorem1[rows] = c1 * math_map(math.exp, e1) * f
     return out
 

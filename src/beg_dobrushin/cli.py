@@ -142,6 +142,10 @@ def _spec_from_args(args) -> verify.SweepSpec:
 
 def cmd_verify(args) -> tuple[str, int, str]:
     report = verify.run_sweep(_spec_from_args(args))
+    # a bound check that saw no strip point checked nothing, so it cannot pass
+    unchecked = [c.name for c in report.checks if c.worst_slack is None and c.unclassifiable]
+    if unchecked:
+        raise DomainError(f"every --point lies outside A|B|C, so {', '.join(unchecked)} checked nothing")
     summary = []
     for check in report.checks:
         status = "pass" if check.passed else "FAIL"

@@ -121,27 +121,11 @@ _DSQ = np.array([st * st - s1 * s1 for s1, st in PAIR_ORDER], dtype=np.float64)[
 _STEP = np.array([st - s1 for s1, st in PAIR_ORDER], dtype=np.float64)[:, None, None, None]
 
 
-@lru_cache(maxsize=None)
-def _pair_stats(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """sigma^2 = k + sigma_1^2 and sigma_1 + n per pair and class, shape
-    (pairs, classes, 1, 1) (read-only, shared by every caller)."""
-    k, n, _ = classes(d)
-    stats = k[:, None, None] + _S1 * _S1, _S1 + n[:, None, None]
-    for a in stats:
-        a.flags.writeable = False
-    return stats
-
-
 def math_map(fn, a: np.ndarray) -> np.ndarray:
     """fn, a math function such as math.exp, of every entry of a, in a's
     shape: the scalar function's values bit for bit, where numpy's own ufunc
     may differ in the last bit."""
     return np.fromiter(map(fn, a.ravel().tolist()), np.float64, a.size).reshape(a.shape)
-
-
-def _neg_expm1(a: np.ndarray) -> np.ndarray:
-    """1 - exp(a) per entry, by math.expm1 as the scalar bounds take it."""
-    return -math_map(math.expm1, a)
 
 
 def lemma1_table(d: int, xs: np.ndarray, ys: np.ndarray, betas: np.ndarray) -> np.ndarray:
@@ -152,17 +136,14 @@ def lemma1_table(d: int, xs: np.ndarray, ys: np.ndarray, betas: np.ndarray) -> n
     All points and pairs are evaluated at once, on a (pairs, classes, points,
     betas) layout, so every numpy loop runs along the beta grid; the result
     is that table transposed and copied into C order.  Every entry repeats
-    the single-pair operations in the same order.  Of the nine factors
-    1 - exp(-|e|) per (point, beta) (psi's and both thetas' for each pair),
-    math.expm1 takes only the six whose inputs can differ: psi's of (-1, +1)
-    and (0, 1), which depend on beta alone; both thetas' of (-1, +1); and the
-    s = -1 theta's of (0, 1) and (0, -1).  The other three repeat one of
-    these as the same IEEE expression: psi's |g| is |b| for both (0, +-1)
-    pairs, and their e_pair is the same b*y, so the s = +1 theta of either is
-    the s = -1 theta of the other ((-b)*(-1) = b and b*(-1) = -b).
+    the single-pair operations in the same order, and math.expm1 takes each
+    factor 1 - exp(-|e|) of psi and of both thetas, as the scalar bounds do.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        sig2, s1_n = _pair_stats(d)
+        k, n, _ = classes(d)
+        # sigma^2 = k + sigma_1^2 and sigma_1 + n, (pairs, classes, 1, 1)
+        sig2 = k[:, None, None] + _S1 * _S1
+        s1_n = _S1 + n[:, None, None]
         b = np.asarray(betas, dtype=np.float64)
         x = np.asarray(xs, dtype=np.float64)[:, None]
         y = np.asarray(ys, dtype=np.float64)[:, None]
@@ -171,17 +152,14 @@ def lemma1_table(d: int, xs: np.ndarray, ys: np.ndarray, betas: np.ndarray) -> n
         g = np.abs(b * _STEP)
         e_pair = b * y * _DSQ
         e_inner = (e_pair + -b * _STEP, e_pair + b * _STEP)
-        f_psi = _neg_expm1(-2 * g[:2])[[0, 1, 1]]
-        f_minus = _neg_expm1(-np.abs(e_inner[0]))
-        f_plus = np.concatenate((_neg_expm1(-np.abs(e_inner[1][:1])), f_minus[:0:-1]))
         e_prefix = b * (2 * d * x + y * sig2)
         e_psi = b * (4 * d * x + 2 * y * sig2) + e_pair
         out = np.exp(e_psi + g)
-        out *= f_psi
-        for s, e, f in ((-b, e_inner[0], f_minus), (b, e_inner[1], f_plus)):
+        out *= -math_map(math.expm1, -2 * g)
+        for s, e in ((-b, e_inner[0]), (b, e_inner[1])):
             # |exp(e) - 1| = exp(max(e, 0)) * (1 - exp(-|e|))
             term = np.exp(e_prefix + s * s1_n + np.maximum(e, 0.0))
-            term *= f
+            term *= -math_map(math.expm1, -np.abs(e))
             out += term
         return np.ascontiguousarray(out.transpose(2, 3, 1, 0))
 

@@ -166,7 +166,8 @@ class TestVerifyCommand:
         assert "pass" in err
 
     def test_point_failure_exits_one(self, capsys, tmp_path):
-        # the concluding-remark counterexample point
+        # the concluding-remark counterexample point; it lies outside the
+        # strip, which only the bound checks require
         report_path = tmp_path / "report.json"
         code, _, err = run_cli(
             capsys, "verify", "-d", "2", "--point", "0", "-2", "--beta-steps", "10",
@@ -185,9 +186,34 @@ class TestVerifyCommand:
         assert json.loads(out)["meta"]["points"] == points
 
     def test_exponent_form_negative_point(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--beta-steps", "3", "--point", "-6.7e-05", "0")
+        code, out, _ = run_cli(capsys, "verify", "--beta-steps", "3", "--point", "-3", "-6.7e-05")
         assert code == 0
-        assert json.loads(out)["meta"]["points"] == [[-6.7e-05, 0.0]]
+        assert json.loads(out)["meta"]["points"] == [[-3.0, -6.7e-05]]
+
+    def test_points_all_outside_the_strip_are_usage_error(self, capsys, tmp_path):
+        # every bound check would see no cell and report a vacuous pass
+        report_path = tmp_path / "report.json"
+        report_path.write_text("earlier report\n")
+        code, out, err = run_cli(
+            capsys, "verify", "--point", "0.5", "0.5", "--point", "1", "1", "--beta-steps", "3",
+            "-o", str(report_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert "A|B|C" in err
+        for name in ("TVvsLemma1", "Lemma1vsLemma2", "Lemma1vsLemma3", "AllvsTheorem1"):
+            assert name in err
+        assert report_path.read_bytes() == b"earlier report\n"
+
+    def test_point_outside_the_strip_beside_a_strip_point(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--beta-steps", "3", "--point", "-3", "0.5", "--point", "0.5", "0.5",
+        )
+        assert code == 0
+        assert "FAIL" not in err
+        for check in json.loads(out)["checks"]:
+            assert check["pass"]
+            assert check["unclassifiable"] == [[0.5, 0.5]]
 
     def test_points_ignore_the_seed(self, capsys):
         argv = ("verify", "--beta-steps", "3", "--point", "-3", "0.5")
