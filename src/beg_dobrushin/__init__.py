@@ -4,6 +4,9 @@ The domain contract of every public entry:
 
 - finite in-domain input gives a finite result, computed from the Python
   float or int of each argument, so no numpy scalar type reaches a result;
+  a finite input whose result overflows to inf or nan (the max TV of
+  exact_max_tv, a sweep slack) raises DomainError naming the point and the
+  beta instead;
 - a real argument (a coupling x or y, an inverse temperature beta, a sweep
   point coordinate or grid beta, the ratio t of r_of_t, a probability of a
   SpinDistribution) passes model.check_real: it is an int, a float, or a

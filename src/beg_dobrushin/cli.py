@@ -28,10 +28,10 @@ def _fmt(value: float) -> str:
 
 def _field(value, fmt: str):
     """One output field: a float to 9 significant digits, as a number in JSON
-    and as text in CSV.  DomainError when a result overflowed to inf or nan,
-    in either format."""
+    and as text in CSV, and None as JSON's null or an empty CSV field.
+    DomainError when a result overflowed to inf or nan, in either format."""
     if not isinstance(value, float):
-        return value if fmt == "json" else str(value)
+        return value if fmt == "json" else "" if value is None else str(value)
     if not math.isfinite(value):
         raise DomainError(f"result {value!r} is not finite; an input is too large in magnitude")
     return float(_fmt(value)) if fmt == "json" else _fmt(value)

@@ -3,15 +3,14 @@ for every inverse temperature of a grid at once, the exact TV distances and
 the Lemma 1 bounds over (point, beta, class, boundary pair).
 
 Tables have shape (len(betas), len(classes(d).k), len(PAIR_ORDER)), with a
-leading points axis for lemma1_table and for tv_table over many points.
-tv_table evaluates on (betas, classes) planes, one per spin and pair;
-lemma1_table evaluates on a (pairs, classes, points, betas) layout, so its
-numpy loops run along the beta grid, and returns the values in C order of
-(points, betas, classes, pairs).  Each (point, beta) slice is computed with
-the same floating-point operations, in the same order, as a single-point,
-single-beta evaluation, so batching never changes a value.  Overflow to inf
-or nan raises no numpy warning here: the callers turn a non-finite result
-into one DomainError.
+leading points axis for 1-D point coordinates.  tv_table evaluates on
+(betas, classes) planes, one per spin and pair; lemma1_table on a (pairs,
+classes, points, betas) layout, so its numpy loops run along the beta grid,
+and returns the values in C order of (points, betas, classes, pairs).  Each
+(point, beta) slice is computed with the same floating-point operations, in
+the same order, as a single-point, single-beta evaluation, so batching never
+changes a value.  Overflow to inf or nan raises no numpy warning here: the
+callers turn a non-finite result into one DomainError.
 """
 
 from __future__ import annotations
@@ -87,7 +86,7 @@ def class_tail(d: int, i: int) -> tuple[int, ...]:
 def tv_table(d: int, x: float | np.ndarray, y: float | np.ndarray, betas: np.ndarray) -> np.ndarray:
     """TV distances between the origin conditionals for each boundary pair,
     per beta and tail class: shape (betas, classes, pairs) for float x and y,
-    and (points, betas, classes, pairs) for x and y of shape (points, 1, 1).
+    and (points, betas, classes, pairs) for 1-D x and y of the points.
 
     Each conditional is held as three (betas, classes) planes, one per origin
     spin, so no step reduces over a short spin axis; the normalizer is summed
@@ -97,6 +96,8 @@ def tv_table(d: int, x: float | np.ndarray, y: float | np.ndarray, betas: np.nda
     with np.errstate(over="ignore", invalid="ignore"):
         k, n, _ = classes(d)
         b = np.asarray(betas, dtype=np.float64)[:, None]
+        # a number stays a scalar (max_tv's blocks); an array gets axes for (betas, classes)
+        x, y = (c if isinstance(c, (int, float)) else np.asarray(c, dtype=np.float64)[..., None, None] for c in (x, y))
         dists = {}
         for s1 in (-1, 0, 1):
             coef = 2 * d * x + y * (k + s1 * s1)
@@ -145,8 +146,7 @@ def lemma1_table(d: int, xs: np.ndarray, ys: np.ndarray, betas: np.ndarray) -> n
         sig2 = k[:, None, None] + _S1 * _S1
         s1_n = _S1 + n[:, None, None]
         b = np.asarray(betas, dtype=np.float64)
-        x = np.asarray(xs, dtype=np.float64)[:, None]
-        y = np.asarray(ys, dtype=np.float64)[:, None]
+        x, y = (np.asarray(c, dtype=np.float64)[:, None] for c in (xs, ys))
         # |g| (pairs, 1, 1, betas); the psi exponent's pair term and e_inner
         # for s = -1, +1 (pairs, 1, points, betas)
         g = np.abs(b * _STEP)
@@ -165,11 +165,13 @@ def lemma1_table(d: int, xs: np.ndarray, ys: np.ndarray, betas: np.ndarray) -> n
 
 
 def first_max(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per beta: the largest entry of a (betas, classes, pairs) table and the
-    class and pair indices of its first occurrence in (class, pair) order."""
-    flat = table.reshape(table.shape[0], table.shape[1] * table.shape[2])
+    """Per leading index of a (..., classes, pairs) table, such as a beta or
+    a (point, beta): the largest entry over (class, pair) and the class and
+    pair indices of its first occurrence in (class, pair) order."""
+    *lead, n_classes, n_pairs = table.shape
+    flat = table.reshape(-1, n_classes * n_pairs)
     at = flat.argmax(axis=1)
-    return flat[np.arange(len(flat)), at], at // table.shape[2], at % table.shape[2]
+    return flat[np.arange(len(flat)), at].reshape(lead), *np.divmod(at.reshape(lead), n_pairs)
 
 
 def block_betas(d: int) -> int:
@@ -212,12 +214,12 @@ def bisect(fails, lo: float, hi: float, tol: float, levels: int = 1) -> tuple[fl
 
 
 def finite_tv(tv: float, d: int, x: float, y: float, beta: float) -> float:
-    """A max TV read from max_tv, or DomainError naming the point if it
-    overflowed to nan."""
+    """A max TV read from max_tv, or DomainError naming the point and the
+    beta if it overflowed to nan."""
     if not math.isfinite(tv):
         raise DomainError(
             f"max TV is {tv!r} at beta {beta!r} for point {(x, y)} (d = {d}); "
-            "the point is too large in magnitude"
+            "the point or beta is too large in magnitude"
         )
     return tv
 

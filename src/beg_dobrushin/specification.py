@@ -82,8 +82,8 @@ def exact_max_tv(params: ModelParams) -> DobrushinReport:
     of distinguished-neighbor values; by translation and rotation symmetry this
     is the full content of the single-site condition.  The reported argmax is
     the first maximizer in balanced-ternary (tail, pair) order.  Raises
-    DomainError when the TV overflows to nan (the point is too large in
-    magnitude).
+    DomainError when the TV overflows to nan (the point or beta is too large
+    in magnitude).
     """
     d = params.d
     top, tail_i, pair_i = kernel.max_tv(d, params.x, params.y, np.array([params.beta]))

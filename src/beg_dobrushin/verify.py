@@ -112,33 +112,35 @@ def _sweep_point(spec: SweepSpec, points: tuple[tuple[float, float], ...], resul
     d = spec.d
     requested_bound_checks = spec.checks & BOUND_CHECKS
     bands = [classify_region(x, y).sub if requested_bound_checks else None for x, y in points]
-    in_strip = [band in STRIP_BANDS for band in bands]
-    strip = [point for point, keep in zip(points, in_strip) if keep]
-    strip_bands = [band for band in bands if band in STRIP_BANDS]
+    strip = [i for i, band in enumerate(bands) if band in STRIP_BANDS]
     for c in requested_bound_checks:
-        results[c].unclassifiable += [point for point, keep in zip(points, in_strip) if not keep]
+        results[c].unclassifiable += [point for point, band in zip(points, bands) if band not in STRIP_BANDS]
     if not spec.beta_grid:
         return
     mult = kernel.classes(d).mult
     betas = np.array(spec.beta_grid)
-    tv = kernel.tv_table(d, *(np.array(c)[:, None, None] for c in zip(*points)), betas)
+    tv = kernel.tv_table(d, *zip(*points), betas)
 
-    def record(check: Check, pts, slack: np.ndarray, cell, weights=None) -> None:
-        """Record a (point, beta, ...) slack array over pts as one cell at a time
-        in index order would: the worst slack moves only to a strictly smaller
-        first minimum (by argmin: numpy's min may return a later zero of the
-        other sign), a failing index adds weights[i] of its axis-2 index i to
-        fail_count (1 without weights), and witnesses are kept up to
-        MAX_WITNESSES.  cell(index) gives a failing index's (tail, pair).  The
-        first point whose first minimum is not finite is a DomainError."""
+    def record(check: Check, rows, slack: np.ndarray, cell, weights=None) -> None:
+        """Record a (point, beta, ...) slack array over the points at block
+        positions rows as one cell at a time in index order would: the worst
+        slack moves only to a strictly smaller first minimum (by argmin:
+        numpy's min may return a later zero of the other sign), a failing
+        index adds weights[i] of its axis-2 index i to fail_count (1 without
+        weights), and witnesses are kept up to MAX_WITNESSES.  cell(index)
+        gives a failing index's (tail, pair).  The first non-finite first
+        minimum is a DomainError naming its point and beta."""
         res = results[check]
-        rows = slack.reshape(len(pts), -1)
-        lows = rows[np.arange(len(rows)), rows.argmin(axis=1)]
+        flat = slack.reshape(len(rows), -1)
+        at = flat.argmin(axis=1)
+        lows = flat[np.arange(len(flat)), at]
         non_finite = np.flatnonzero(~np.isfinite(lows))
         if len(non_finite):
             i = non_finite[0]
+            beta = spec.beta_grid[np.unravel_index(at[i], slack.shape[1:])[0]]
             raise DomainError(
-                f"{check.value} slack is {float(lows[i])!r} at point {pts[i]}; the point is too large in magnitude"
+                f"{check.value} slack is {float(lows[i])!r} at point {points[rows[i]]}, beta {beta!r}; "
+                "the point or beta is too large in magnitude"
             )
         worst = float(lows[lows.argmin()])
         if res.worst_slack is None or worst < res.worst_slack:
@@ -148,38 +150,32 @@ def _sweep_point(spec: SweepSpec, points: tuple[tuple[float, float], ...], resul
             res.fail_count += len(bad) if weights is None else sum(weights[i] for i in bad[:, 2].tolist())
             room = MAX_WITNESSES - len(res.witnesses)
             res.witnesses += [
-                Witness(pts[idx[0]], spec.beta_grid[idx[1]], *cell(idx), float(slack[tuple(idx)]))
+                Witness(points[rows[idx[0]]], spec.beta_grid[idx[1]], *cell(idx), float(slack[tuple(idx)]))
                 for idx in bad[:room].tolist()
             ]
 
-    def table_cell(cols):
-        """cell() of a (point, beta, class, pair) table whose pair axis holds
-        the PAIR_ORDER pairs cols."""
-        return lambda idx: (kernel.class_tail(d, idx[2]), PAIR_ORDER[cols[idx[3]]])
-
     if strip:
-        l1 = kernel.lemma1_table(d, *zip(*strip), betas)
+        l1 = kernel.lemma1_table(d, *zip(*(points[i] for i in strip)), betas)
         # per-(point, beta) case bounds, broadcast over (class, pair)
-        lemma2, lemma3, t1, r = bounds.case_bounds(d, strip, strip_bands, betas)
-        l2 = lemma2[:, :, None, None]
-        l3 = lemma3[:, :, None, None]
-        # a failing class cell stands for every tail of its class
-        if Check.TV_VS_LEMMA1 in spec.checks:
-            record(Check.TV_VS_LEMMA1, strip, l1 - tv[np.array(in_strip)], table_cell((0, 1, 2)), mult)
-        if Check.LEMMA1_VS_LEMMA2 in spec.checks:
-            # the single equal-magnitude pair is PAIR_ORDER[0] = (-1, +1)
-            record(Check.LEMMA1_VS_LEMMA2, strip, l2 - l1[..., :1], table_cell((0,)), mult)
-        if Check.LEMMA1_VS_LEMMA3 in spec.checks:
-            record(Check.LEMMA1_VS_LEMMA3, strip, l3 - l1[..., 1:], table_cell((1, 2)), mult)
+        lemma2, lemma3, t1, r = bounds.case_bounds(d, [points[i] for i in strip], [bands[i] for i in strip], betas)
+        # slack = bound - lower; Lemma 2 covers the equal-magnitude pair (-1, +1), Lemma 3 the other two
+        for check, bound, lower, pairs in (
+            (Check.TV_VS_LEMMA1, l1, tv[strip], PAIR_ORDER),
+            (Check.LEMMA1_VS_LEMMA2, lemma2[:, :, None, None], l1[..., :1], PAIR_ORDER[:1]),
+            (Check.LEMMA1_VS_LEMMA3, lemma3[:, :, None, None], l1[..., 1:], PAIR_ORDER[1:]),
+        ):
+            if check in spec.checks:
+                # a failing class cell stands for every tail of its class
+                record(check, strip, bound - lower, lambda idx: (kernel.class_tail(d, idx[2]), pairs[idx[3]]), mult)
         if Check.ALL_VS_THEOREM1 in spec.checks:
             # per (point, beta): Theorem 1 - Lemma 2, Theorem 1 - Lemma 3, r - Theorem 1
             slack = np.stack((t1 - lemma2, t1 - lemma3, r[:, None] - t1), axis=2)
             record(Check.ALL_VS_THEOREM1, strip, slack, lambda idx: (None, None))
     if Check.DOBRUSHIN_SATISFIED in spec.checks:
-        top, tail_i, pair_i = (a.reshape(tv.shape[:2]) for a in kernel.first_max(tv.reshape(-1, *tv.shape[2:])))
+        top, tail_i, pair_i = kernel.first_max(tv)
         record(
             Check.DOBRUSHIN_SATISFIED,
-            points,
+            range(len(points)),
             1.0 / (2 * d) - top,
             lambda idx: (kernel.class_tail(d, tail_i[idx[0], idx[1]]), PAIR_ORDER[pair_i[idx[0], idx[1]]]),
         )
@@ -250,15 +246,12 @@ def sample_strip_points(points_per_region: int, seed: int = 2026) -> tuple[tuple
     seed = check_int("seed", seed, "be an integer", lambda _: True)
     rng = random.Random(seed)
     pts: list[tuple[float, float]] = []
-    for _ in range(points_per_region):  # A: y >= 1
-        y = rng.uniform(1.0, 4.0)
-        pts.append((-(y + 1) - rng.uniform(0.1, 6.0), y))
-    for _ in range(points_per_region):  # B: |y| < 1
-        y = rng.uniform(-0.95, 0.95)
-        pts.append((-(y + 1) - rng.uniform(0.1, 6.0), y))
-    for _ in range(points_per_region):  # C: y <= -1
-        y = rng.uniform(-5.0, -1.0)
-        pts.append((-rng.uniform(0.1, 6.0), y))
+    # the y-ranges of bands A (y >= 1), B (|y| < 1) and C (y <= -1); each x
+    # lies 0.1 to 6 left of the strip's edge min(-(y + 1), 0)
+    for lo, hi in ((1.0, 4.0), (-0.95, 0.95), (-5.0, -1.0)):
+        for _ in range(points_per_region):
+            y = rng.uniform(lo, hi)
+            pts.append((min(-(y + 1), 0.0) - rng.uniform(0.1, 6.0), y))
     return tuple(pts)
 
 

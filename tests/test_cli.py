@@ -59,6 +59,13 @@ class TestRegionCommand:
         assert code == 0
         assert json.loads(out)["y"] == -6.7e-05
 
+    def test_csv_writes_no_sub_as_empty_field(self, capsys):
+        # JSON writes null for a point outside A|B|C; CSV leaves the field empty
+        code, out, _ = run_cli(capsys, "region", "-d", "2", "-x", "1", "-y", "1", "--format", "csv")
+        assert code == 0
+        assert out == "d,x,y,major,sub,curve_x,in_dobrushin\n2,1,1,Ferromagnetic,,-4.69657624,False\n"
+        assert json.loads(run_cli(capsys, "region", "-d", "2", "-x", "1", "-y", "1")[1])["sub"] is None
+
 
 class TestCurveCommand:
     def test_degenerate_range_at_band_edge(self, capsys):
@@ -242,6 +249,23 @@ class TestVerifyCommand:
         assert "error: TVvsLemma1" in err
         assert "(-2e+307, 1e+307)" in err
         assert not report_path.exists()
+
+    def test_overflowing_beta_is_named(self, capsys):
+        # the Lemma 1 table overflows at beta 1e308, not at the point
+        code, out, err = run_cli(capsys, "verify", "--point", "-3", "0", "--beta-steps", "2", "--beta-max", "1e308")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: TVvsLemma1 slack is nan at point (-3.0, 0.0), beta 1e+308; "
+            "the point or beta is too large in magnitude\n"
+        )
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_default_sweep_is_the_api_default(self, capsys, d):
+        # the verify flags' defaults and default_certification_spec's must agree
+        code, out, _ = run_cli(capsys, "verify", "-d", str(d))
+        assert code == 0
+        assert out == verify.run_sweep(verify.default_certification_spec(d)).to_json() + "\n"
 
     def test_non_finite_spec_value_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--point", "nan", "0")

@@ -86,13 +86,12 @@ class TestLemma1Points:
 
 
 class TestTVPoints:
-    """tv_table over (points, 1, 1) coordinate arrays equals the stacked
-    one-point tables, bit for bit."""
+    """tv_table over 1-D coordinates, as lemma1_table takes them, equals the
+    stacked one-point tables, bit for bit."""
 
     @staticmethod
     def assert_stacked(d, points, betas, key=lambda a: a.tobytes()):
-        xs, ys = (np.array(c)[:, None, None] for c in zip(*points))
-        table = kernel.tv_table(d, xs, ys, betas)
+        table = kernel.tv_table(d, *zip(*points), betas)
         assert table.shape == (len(points), len(betas), len(kernel.classes(d).k), 3)
         want = np.stack([kernel.tv_table(d, x, y, betas) for x, y in points])
         assert key(table) == key(want)
@@ -112,8 +111,7 @@ class TestTVPoints:
     def test_overflowing_points_match_inf_nan_pattern(self, d):
         points = [(1e308, -1e308), (-1e308, 5e307), (-1e308, -1e308), (1e308, 1e308), (0.0, 1e308), (-3.0, 0.5)]
         betas = np.array([0.0, 1e-3, 0.5, 1.0, 40.0])
-        xs, ys = (np.array(c)[:, None, None] for c in zip(*points))
-        assert np.isnan(kernel.tv_table(d, xs, ys, betas)).any()
+        assert np.isnan(kernel.tv_table(d, *zip(*points), betas)).any()
         self.assert_stacked(d, points, betas, key=canonical_nan_bytes)
 
 
@@ -163,6 +161,15 @@ class TestMaxTv:
         top, cls, pair = kernel.first_max(table)
         assert top.tolist() == [5.0, 0.0]
         assert (cls.tolist(), pair.tolist()) == ([1, 0], [2, 0])
+
+    def test_first_max_of_points_is_per_point(self):
+        points, betas = seeded_grid(3)
+        table = kernel.tv_table(3, *zip(*points), betas)
+        got = kernel.first_max(table)
+        assert [a.shape for a in got] == [(len(points), len(betas))] * 3
+        for i, (x, y) in enumerate(points):
+            for got_part, want_part in zip(got, kernel.first_max(kernel.tv_table(3, x, y, betas))):
+                assert got_part[i].tobytes() == want_part.tobytes()
 
     @pytest.mark.parametrize("block_cells", [1, 7, 25, 64])
     def test_blocks_do_not_change_result(self, block_cells, monkeypatch):

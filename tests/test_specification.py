@@ -142,6 +142,14 @@ class TestExactMaxTv:
         assert report.satisfied
         assert report.row_sum == 4 * report.max_tv
 
+    def test_overflowing_beta_is_named(self):
+        # the TV overflows at beta 1e308 at an ordinary point
+        with pytest.raises(DomainError) as err:
+            exact_max_tv(ModelParams(x=6.0, y=0.0, beta=1e308, d=2))
+        assert str(err.value) == (
+            "max TV is nan at beta 1e+308 for point (6.0, 0.0) (d = 2); the point or beta is too large in magnitude"
+        )
+
     def test_concluding_remark_point_fails(self):
         # at (0, y) with y < -1 the condition breaks at low temperature
         report = exact_max_tv(ModelParams(x=0, y=-2, beta=20.0, d=2))

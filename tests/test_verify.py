@@ -199,7 +199,8 @@ class TestRunSweep:
         spec = small_spec(points=(point,), beta_grid=log_beta_grid(1e-3, 50, 5))
         with pytest.raises(DomainError) as err:
             run_sweep(spec)
-        assert str(err.value) == f"{message}; the point is too large in magnitude"
+        # both overflow at the grid's first beta
+        assert str(err.value) == f"{message}, beta 0.001; the point or beta is too large in magnitude"
 
     def test_deterministic_serialization(self):
         spec = small_spec(checks=ALL_CHECKS)
@@ -423,7 +424,8 @@ class TestPointBlocks:
             with pytest.raises(DomainError) as err:
                 run_sweep(spec)
         assert str(err.value) == (
-            "TVvsLemma1 slack is nan at point (-2e+307, 1e+307); the point is too large in magnitude"
+            "TVvsLemma1 slack is nan at point (-2e+307, 1e+307), beta 21.75257993422772; "
+            "the point or beta is too large in magnitude"
         )
 
 
