@@ -4,9 +4,13 @@ The domain contract of every public entry:
 
 - finite in-domain input gives a finite result, computed from the Python
   float or int of each argument, so no numpy scalar type reaches a result;
-  a finite input whose result overflows to inf or nan (the max TV of
-  exact_max_tv, a sweep slack) raises DomainError naming the point and the
-  beta instead;
+  a finite input whose result overflows to inf or nan raises DomainError
+  instead, from the one result guard, model.check_result, which names the
+  result and its inputs: the max TV of exact_max_tv, find_failure_beta and
+  `begdob scan` and a sweep slack name the point and the beta; every scalar
+  bound (theta, psi, lemma1_bound, lemma2_bound, lemma3_bound,
+  theorem1_bound, theta_sum_bound, psi_bound) the point, the beta and d;
+  curve_x names y, beta_critical a and b, and a CLI output field itself;
 - a real argument (a coupling x or y, an inverse temperature beta, a sweep
   point coordinate or grid beta, the ratio t of r_of_t, a probability of a
   SpinDistribution) passes model.check_real: it is an int, a float, or a

@@ -14,7 +14,9 @@ import numpy as np
 
 from .errors import DomainError
 from .kernel import math_map
-from .model import STRIP_BANDS, ModelParams, NeighborConfig, SubRegion, check_int, check_real, check_spin, classify_region
+from .model import (
+    STRIP_BANDS, ModelParams, NeighborConfig, SubRegion, check_int, check_real, check_result, check_spin, classify_region
+)
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,15 @@ def _decay(c: float, e: float, g: float) -> float:
     return c * math.exp(e) * -math.expm1(g)
 
 
+def _finite(value: float, what: str, params: ModelParams) -> float:
+    """value, the scalar bound `what` at params, through check_result, which
+    names the point, the beta and d; the message is formed only on failure."""
+    if math.isfinite(value):
+        return value
+    where = f"at point {(params.x, params.y)}, beta {params.beta!r} (d = {params.d})"
+    return check_result(value, what, where, "the point or beta")
+
+
 def exponents(params: ModelParams) -> ExponentPair:
     """Exponents a = 2d|x+y+1| (A|B) or 2d|x| (C), b = y+1 / 2 / |y|+1 on A/B/C."""
     return band_exponents(require_sub_region(params.x, params.y), params.d, params.x, params.y)
@@ -61,12 +72,8 @@ def exponents(params: ModelParams) -> ExponentPair:
 
 def _rate(y: float) -> float:
     """Decay rate b(y) of the bounds: y+1 for y >= 1 (band A), |y|+1 for
-    y <= -1 (band C) and 2 in between (band B)."""
-    if y >= 1:
-        return y + 1
-    if y <= -1:
-        return abs(y) + 1
-    return 2.0
+    y <= -1 (band C) and 2 in between (band B), the larger of 2 and |y|+1."""
+    return max(2.0, abs(y) + 1.0)
 
 
 def band_exponents(sub: SubRegion, d: int, x: float, y: float) -> ExponentPair:
@@ -100,18 +107,14 @@ def _point_terms(params: ModelParams):
 
 def theorem1_bound(params: ModelParams) -> float:
     """Region-wide bound 4*exp(-beta*a)*(1 - exp(-beta*b)) on the conditional TV."""
-    return _decay(*_point_terms(params)[2])
+    return _finite(_decay(*_point_terms(params)[2]), "theorem1_bound", params)
 
 
 def beta_critical(ep: ExponentPair) -> float:
     """Unique maximizer of w(a, b, beta) = 4*exp(-a*beta)*(1 - exp(-b*beta));
     satisfies exp(-beta_c*b) = a/(a+b).  DomainError if it is not finite."""
     beta_c = math.log((ep.a + ep.b) / ep.a) / ep.b
-    if not math.isfinite(beta_c):
-        raise DomainError(
-            f"beta_critical is {beta_c!r} for a={ep.a!r}, b={ep.b!r}; a/b or b/a is too large in magnitude"
-        )
-    return beta_c
+    return check_result(beta_c, "beta_critical", f"for a={ep.a!r}, b={ep.b!r}", "a/b or b/a")
 
 
 def _r(t: float) -> float:
@@ -145,7 +148,7 @@ def theta(s: int, nb: NeighborConfig, sigma1_tilde: int, params: ModelParams) ->
     e_prefix = beta * (2 * params.d * params.x + params.y * nb.sigma_sq)
     e_inner = beta * params.y * (st * st - s1 * s1) + beta * s * (st - s1)
     e_suffix = beta * s * sum(nb.spins)
-    return _exp_expm1(e_prefix + e_suffix, e_inner)
+    return _finite(_exp_expm1(e_prefix + e_suffix, e_inner), "theta", params)
 
 
 def psi(nb: NeighborConfig, sigma1_tilde: int, params: ModelParams) -> float:
@@ -159,7 +162,7 @@ def psi(nb: NeighborConfig, sigma1_tilde: int, params: ModelParams) -> float:
     if g == 0:
         return 0.0
     # 2*sinh(g) = sign(g) * exp(|g|) * (1 - exp(-2|g|))
-    return math.copysign(1.0, g) * math.exp(e + abs(g)) * -math.expm1(-2 * abs(g))
+    return _finite(math.copysign(1.0, g) * math.exp(e + abs(g)) * -math.expm1(-2 * abs(g)), "psi", params)
 
 
 def lemma1_bound(nb: NeighborConfig, sigma1_tilde: int, params: ModelParams) -> float:
@@ -175,21 +178,18 @@ def lemma1_bound(nb: NeighborConfig, sigma1_tilde: int, params: ModelParams) -> 
     elif abs(st) == abs(s1):
         nb = nb.with_distinguished(-1)
         st = 1
-    return (
-        abs(theta(1, nb, st, params))
-        + abs(theta(-1, nb, st, params))
-        + abs(psi(nb, st, params))
-    )
+    total = abs(theta(1, nb, st, params)) + abs(theta(-1, nb, st, params)) + abs(psi(nb, st, params))
+    return _finite(total, "lemma1_bound", params)
 
 
 def lemma2_bound(params: ModelParams) -> float:
     """Uniform TV bound over boundary pairs with |sigma_1| = |sigma_1~|."""
-    return _decay(*_point_terms(params)[0])
+    return _finite(_decay(*_point_terms(params)[0]), "lemma2_bound", params)
 
 
 def lemma3_bound(params: ModelParams) -> float:
     """Uniform TV bound over boundary pairs with |sigma_1| != |sigma_1~|."""
-    return _decay(*_point_terms(params)[1])
+    return _finite(_decay(*_point_terms(params)[1]), "lemma3_bound", params)
 
 
 class CaseBounds(NamedTuple):
@@ -246,7 +246,7 @@ def theta_sum_bound(params: ModelParams, k: int) -> float:
     beta, x, y, d = params.beta, params.x, params.y, params.d
     # k(y+1) for y <= -1 and (k+1)(y+1) above: the larger of the two
     tail = max(k * (y + 1), (k + 1) * (y + 1))
-    return _decay(2.0, beta * (2 * d * x + tail), -beta * _rate(y))
+    return _finite(_decay(2.0, beta * (2 * d * x + tail), -beta * _rate(y)), "theta_sum_bound", params)
 
 
 def psi_bound(params: ModelParams, k: int) -> float:
@@ -254,4 +254,4 @@ def psi_bound(params: ModelParams, k: int) -> float:
     non-distinguished neighbors, decaying at rate b(y)."""
     k = _check_k(params, k)
     beta, x, y, d = params.beta, params.x, params.y, params.d
-    return _decay(1.0, beta * (4 * d * x + (2 * k + 1) * y + 1), -beta * _rate(y))
+    return _finite(_decay(1.0, beta * (4 * d * x + (2 * k + 1) * y + 1), -beta * _rate(y)), "psi_bound", params)

@@ -19,21 +19,20 @@ import numpy as np
 
 from . import bounds, kernel, region, verify
 from .errors import DomainError
-from .model import ModelParams, check_int, check_real, classify_region
+from .model import ModelParams, check_int, check_real, check_result, classify_region
 
 
 def _fmt(value: float) -> str:
     return format(value, ".9g")
 
 
-def _field(value, fmt: str):
-    """One output field: a float to 9 significant digits, as a number in JSON
-    and as text in CSV, and None as JSON's null or an empty CSV field.
-    DomainError when a result overflowed to inf or nan, in either format."""
+def _field(name: str, value, fmt: str):
+    """Output field `name`: a float to 9 significant digits, as a number in
+    JSON and as text in CSV, None as JSON's null or an empty CSV field, and
+    a float that overflowed to inf or nan as check_result's DomainError."""
     if not isinstance(value, float):
         return value if fmt == "json" else "" if value is None else str(value)
-    if not math.isfinite(value):
-        raise DomainError(f"result {value!r} is not finite; an input is too large in magnitude")
+    value = check_result(value, name)
     return float(_fmt(value)) if fmt == "json" else _fmt(value)
 
 
@@ -42,7 +41,7 @@ def _format(records: dict | list[dict], fmt: str) -> str:
     dict) as an object, a list of records as an array.  Every field is checked
     before any text is made."""
     rows = [records] if isinstance(records, dict) else records
-    fields = [{k: _field(v, fmt) for k, v in row.items()} for row in rows]
+    fields = [{k: _field(k, v, fmt) for k, v in row.items()} for row in rows]
     if fmt == "json":
         payload = fields[0] if isinstance(records, dict) else fields
         return json.dumps(payload, indent=2, allow_nan=False) + "\n"
@@ -108,6 +107,11 @@ def cmd_scan(args) -> tuple[str, int]:
         betas = np.linspace(args.beta_min, args.beta_max, args.steps).tolist()
     threshold = 1.0 / (2 * args.d)
     top = kernel.max_tv(args.d, args.x, args.y, betas)[0]
+    non_finite = np.flatnonzero(~np.isfinite(top))
+    if len(non_finite):
+        i = non_finite[0]
+        where = f"at beta {betas[i]!r} for point {(args.x, args.y)} (d = {args.d})"
+        check_result(float(top[i]), "max TV", where, "the point or beta")
     rows = [{"beta": beta, "max_tv": t, "threshold": threshold, "satisfied": t < threshold}
             for beta, t in zip(betas, top.tolist())]
     return _format(rows, args.format), 0

@@ -10,7 +10,7 @@ and returns the values in C order of (points, betas, classes, pairs).  Each
 (point, beta) slice is computed with the same floating-point operations, in
 the same order, as a single-point, single-beta evaluation, so batching never
 changes a value.  Overflow to inf or nan raises no numpy warning here: the
-callers turn a non-finite result into one DomainError.
+callers turn a non-finite result into one DomainError (model.check_result).
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-
-from .errors import DomainError
 
 # Unordered boundary pairs (sigma_1, sigma_1~) with sigma_1 != sigma_1~,
 # normalized so |sigma_1~| >= |sigma_1| and (-1, +1) when magnitudes tie.
@@ -211,17 +209,6 @@ def bisect(fails, lo: float, hi: float, tol: float, levels: int = 1) -> tuple[fl
             else:
                 lo, j = mids[j], 2 * j + 2
     return lo, hi
-
-
-def finite_tv(tv: float, d: int, x: float, y: float, beta: float) -> float:
-    """A max TV read from max_tv, or DomainError naming the point and the
-    beta if it overflowed to nan."""
-    if not math.isfinite(tv):
-        raise DomainError(
-            f"max TV is {tv!r} at beta {beta!r} for point {(x, y)} (d = {d}); "
-            "the point or beta is too large in magnitude"
-        )
-    return tv
 
 
 def max_tv(d: int, x: float, y: float, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

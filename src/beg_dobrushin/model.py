@@ -73,6 +73,16 @@ def check_real(name: str, value, want: str = "be finite", ok=lambda v: True) -> 
     return as_float
 
 
+def check_result(value: float, what: str, where: str = "", culprit: str = "an input") -> float:
+    """value, if it is finite; for a result that overflowed to inf or nan,
+    DomainError "<what> is <value!r> <where>; <culprit> is too large in
+    magnitude" (no space before the ";" when where is empty)."""
+    if math.isfinite(value):
+        return value
+    said = f"{what} is {value!r} {where}".rstrip()
+    raise DomainError(f"{said}; {culprit} is too large in magnitude")
+
+
 def check_dimension(d: int) -> int:
     """d as an int, if it is an int or a numpy integer (not a bool) >= 1;
     DomainError otherwise."""

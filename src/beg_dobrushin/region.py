@@ -3,13 +3,11 @@ membership tests, and the Blume-Capel critical coupling."""
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 from .bounds import _r, _rate
-from .errors import DomainError
 from .kernel import bisect
-from .model import STRIP_BANDS, check_dimension, check_real, classify_region
+from .model import STRIP_BANDS, check_dimension, check_real, check_result, classify_region
 
 _BISECT_TOL = 1e-12
 
@@ -43,10 +41,7 @@ def curve_x(d: int, y: float) -> float:
     """The polygonal uniqueness boundary x(d, y) solving a(d, x, y)/b(y) = t_d;
     DomainError if it overflows."""
     y, d = check_real("y", y), check_dimension(d)
-    x = _curve_x(d, y)
-    if not math.isfinite(x):
-        raise DomainError(f"curve x is {x!r} at y={y!r} (d = {d}); y is too large in magnitude")
-    return x
+    return check_result(_curve_x(d, y), "curve x", f"at y={y!r} (d = {d})", "y")
 
 
 def in_dobrushin_region(d: int, x: float, y: float) -> bool:

@@ -14,7 +14,9 @@ import numpy as np
 from . import kernel
 from .errors import CapacityError, DomainError
 from .kernel import PAIR_ORDER
-from .model import SPIN_VALUES, ModelParams, NeighborConfig, _shown, check_int, check_real, check_spin, pair_energy
+from .model import (
+    SPIN_VALUES, ModelParams, NeighborConfig, _shown, check_int, check_real, check_result, check_spin, pair_energy
+)
 
 _NORM_TOL = 1e-12
 
@@ -87,7 +89,8 @@ def exact_max_tv(params: ModelParams) -> DobrushinReport:
     """
     d = params.d
     top, tail_i, pair_i = kernel.max_tv(d, params.x, params.y, np.array([params.beta]))
-    max_tv = kernel.finite_tv(float(top[0]), d, params.x, params.y, params.beta)
+    where = f"at beta {params.beta!r} for point {(params.x, params.y)} (d = {d})"
+    max_tv = check_result(float(top[0]), "max TV", where, "the point or beta")
     s1, s1_tilde = PAIR_ORDER[int(pair_i[0])]
     nb = NeighborConfig((s1, *kernel.class_tail(d, int(tail_i[0]))))
     return DobrushinReport(

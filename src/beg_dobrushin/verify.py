@@ -14,7 +14,7 @@ import numpy as np
 from . import bounds, kernel
 from .errors import DomainError
 from .kernel import PAIR_ORDER
-from .model import STRIP_BANDS, ModelParams, check_dimension, check_int, check_real, classify_region
+from .model import STRIP_BANDS, ModelParams, check_dimension, check_int, check_real, check_result, classify_region
 
 SLACK_TOL = 1e-12
 MAX_WITNESSES = 100
@@ -138,10 +138,8 @@ def _sweep_point(spec: SweepSpec, points: tuple[tuple[float, float], ...], resul
         if len(non_finite):
             i = non_finite[0]
             beta = spec.beta_grid[np.unravel_index(at[i], slack.shape[1:])[0]]
-            raise DomainError(
-                f"{check.value} slack is {float(lows[i])!r} at point {points[rows[i]]}, beta {beta!r}; "
-                "the point or beta is too large in magnitude"
-            )
+            where = f"at point {points[rows[i]]}, beta {beta!r}"
+            check_result(float(lows[i]), f"{check.value} slack", where, "the point or beta")
         worst = float(lows[lows.argmin()])
         if res.worst_slack is None or worst < res.worst_slack:
             res.worst_slack = worst
@@ -210,10 +208,7 @@ def find_failure_beta(d: int, x: float, y: float) -> float | None:
     evaluates every midpoint the next levels could probe, then walks those
     levels.  Kernel values do not depend on batching, so the result is a
     one-probe-per-step loop's, bit for bit.  Raises DomainError for a bad d,
-    x or y, and if a TV value the search reads is not finite (the point is
-    too large in magnitude).  Every midpoint lies below the failing grid
-    beta, whose TV was read as finite, and a TV overflows only from some
-    beta on, so checking each midpoint raises nothing the walk would not.
+    x or y, and if the grid's first failing TV is not finite.
     """
     grid = np.geomspace(1e-3, 100.0, 120)
     params = ModelParams(x=x, y=y, beta=float(grid[0]), d=d)
@@ -225,15 +220,15 @@ def find_failure_beta(d: int, x: float, y: float) -> float | None:
     if not len(stop):
         return None
     i = int(stop[0])
-    kernel.finite_tv(float(top[i]), d, x, y, float(grid[i]))
+    where = f"at beta {float(grid[i])!r} for point {(x, y)} (d = {d})"
+    check_result(float(top[i]), "max TV", where, "the point or beta")
     if i == 0:
         return float(grid[0])
     # levels per round: the largest L whose 2^L - 1 midpoints fit one block
     levels = (kernel.block_betas(d) + 1).bit_length() - 1
 
     def fails(mids: list[float]) -> list[bool]:
-        tv = kernel.max_tv(d, x, y, np.array(mids))[0].tolist()
-        return [kernel.finite_tv(t, d, x, y, m) >= threshold for t, m in zip(tv, mids)]
+        return (kernel.max_tv(d, x, y, np.array(mids))[0] >= threshold).tolist()
 
     return kernel.bisect(fails, float(grid[i - 1]), float(grid[i]), 1e-6, levels)[1]
 

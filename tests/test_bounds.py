@@ -118,6 +118,39 @@ class TestBetaCritical:
             beta_critical(ExponentPair(math.inf, 1.0))
 
 
+# finite in-domain inputs whose scalar bounds overflow to nan: a band A point
+# of huge magnitude, a band B point at a huge beta, and a = inf at beta = 0
+HUGE_A = ModelParams(x=-1e308, y=9e307, beta=1.0, d=2)
+HUGE_BETA = ModelParams(x=-3.0, y=0.0, beta=1e308, d=2)
+INFINITE_A = ModelParams(x=-1e308, y=0.5, beta=0.0, d=2)
+NB = NeighborConfig((0, 1, 1, 1))
+
+
+class TestOverflowingScalarBounds:
+    @pytest.mark.parametrize(
+        "call, params, what",
+        [
+            (lemma2_bound, HUGE_A, "lemma2_bound"),
+            (lemma3_bound, HUGE_A, "lemma3_bound"),
+            (lambda p: psi_bound(p, 2), HUGE_A, "psi_bound"),
+            (lambda p: theta_sum_bound(p, 2), HUGE_A, "theta_sum_bound"),
+            (lambda p: theta(1, NB, 1, p), HUGE_BETA, "theta"),
+            # its theta term is the first to overflow
+            (lambda p: lemma1_bound(NB, 1, p), HUGE_BETA, "theta"),
+            (lambda p: psi(NB.with_distinguished(-1), 1, p), HUGE_BETA, "psi"),
+            (theorem1_bound, INFINITE_A, "theorem1_bound"),
+        ],
+        ids=["lemma2", "lemma3", "psi_bound", "theta_sum", "theta", "lemma1", "psi", "theorem1"],
+    )
+    def test_nan_is_domain_error_naming_point_and_beta(self, call, params, what):
+        with pytest.raises(DomainError) as err:
+            call(params)
+        assert str(err.value) == (
+            f"{what} is nan at point {(params.x, params.y)}, beta {params.beta!r} (d = 2); "
+            "the point or beta is too large in magnitude"
+        )
+
+
 class TestTheorem1Bound:
     def test_vanishes_at_extremes(self):
         for x, y in REGION_POINTS.values():

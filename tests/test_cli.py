@@ -541,7 +541,10 @@ class TestOverflowMessage:
         done = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout == ""
-        line = "error: result nan is not finite; an input is too large in magnitude\n"
+        line = (
+            "error: max TV is nan at beta 0.001 for point (1e+308, -1e+308) (d = 2); "
+            "the point or beta is too large in magnitude\n"
+        )
         assert done.stderr == line * 2
 
 

@@ -184,6 +184,18 @@ class TestMaxTv:
         top, cls, pair = kernel.max_tv(3, -3.0, 0.5, np.empty(0))
         assert len(top) == len(cls) == len(pair) == 0
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "x, y", [(1e308, -1e308), (-1e308, 5e307), (1e306, 0.0), (0.0, 1e307), (6.0, 0.0), (-3.0, 0.0)]
+    )
+    def test_overflow_only_grows_with_beta(self, d, x, y):
+        # find_failure_beta checks only the first failing grid TV: its
+        # bisection midpoints lie below that beta, so they cannot overflow
+        top = kernel.max_tv(d, x, y, np.geomspace(1e-3, 1e308, 400))[0]
+        bad = ~np.isfinite(top)
+        first = int(bad.argmax()) if bad.any() else len(top)
+        assert bad[first:].all(), (d, x, y, first)
+
 
 class TestBisect:
     @staticmethod

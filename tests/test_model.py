@@ -14,7 +14,7 @@ from beg_dobrushin import (
     ground_pairs,
     pair_energy,
 )
-from beg_dobrushin.model import MajorRegion, SubRegion, check_spin
+from beg_dobrushin.model import MajorRegion, SubRegion, check_result, check_spin
 
 from conftest import point_in_band, point_in_major
 
@@ -135,6 +135,23 @@ class TestModelParams:
         values[field] = bad
         with pytest.raises(DomainError, match=field):
             ModelParams(**values)
+
+
+class TestCheckResult:
+    @pytest.mark.parametrize("value", [0.0, -1.5, 5e-324, 1.7976931348623157e308])
+    def test_finite_value_returned(self, value):
+        assert check_result(value, "r", "at t=1") is value
+
+    def test_non_finite_value_raises_naming_it(self):
+        with pytest.raises(DomainError) as err:
+            check_result(math.nan, "r", "at y=1.0", "y")
+        assert str(err.value) == "r is nan at y=1.0; y is too large in magnitude"
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_defaults_leave_no_space_before_semicolon(self, value):
+        with pytest.raises(DomainError) as err:
+            check_result(value, "r")
+        assert str(err.value) == f"r is {value!r}; an input is too large in magnitude"
 
 
 class TestCheckSpin:

@@ -182,9 +182,8 @@ class TestRunSweep:
             beta_grid=log_beta_grid(1e-3, 50, 5),
             checks=frozenset({Check.TV_VS_LEMMA1}),
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DomainError, match=r"TVvsLemma1 slack is nan at point \(-2e\+307"):
-                run_sweep(spec)
+        with pytest.raises(DomainError, match=r"TVvsLemma1 slack is nan at point \(-2e\+307"):
+            run_sweep(spec)
 
     @pytest.mark.parametrize(
         "point, message",
@@ -420,9 +419,8 @@ class TestPointBlocks:
         )
         spec = small_spec(d=3, points=points, beta_grid=log_beta_grid(), checks=BOUND_CHECKS)
         assert kernel.block_points(3, len(spec.beta_grid)) == 4
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DomainError) as err:
-                run_sweep(spec)
+        with pytest.raises(DomainError) as err:
+            run_sweep(spec)
         assert str(err.value) == (
             "TVvsLemma1 slack is nan at point (-2e+307, 1e+307), beta 21.75257993422772; "
             "the point or beta is too large in magnitude"
