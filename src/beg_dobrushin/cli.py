@@ -78,6 +78,8 @@ def cmd_curve(args) -> tuple[str, int]:
 def cmd_bounds(args) -> tuple[str, int]:
     params = ModelParams(x=args.x, y=args.y, beta=args.beta, d=args.d)
     ep = bounds.exponents(params)
+    # a = 2d|x + y + 1| (or 2d|x|) may overflow, which beta_critical would blame on a/b
+    check_result(ep.a, "exponent a", f"at point {(params.x, params.y)} (d = {params.d})", "the point")
     record = {
         "d": args.d,
         "x": float(args.x),

@@ -19,6 +19,10 @@ from .model import STRIP_BANDS, ModelParams, check_dimension, check_int, check_r
 SLACK_TOL = 1e-12
 MAX_WITNESSES = 100
 
+# find_failure_beta's scan grid, built once and read-only
+_FAILURE_GRID = np.geomspace(1e-3, 100.0, 120)
+_FAILURE_GRID.flags.writeable = False
+
 
 class Check(Enum):
     TV_VS_LEMMA1 = "TVvsLemma1"
@@ -202,35 +206,40 @@ def find_failure_beta(d: int, x: float, y: float) -> float | None:
     single-site condition fails, or None if it holds at every beta of the
     scan grid: 120 geometric betas on [1e-3, 100].
 
-    The condition is evaluated on the whole grid at once; the first failing
-    grid beta is then refined by bisection from the grid beta before it.
-    The bisection is kernel.bisect with one kernel block per round: it
-    evaluates every midpoint the next levels could probe, then walks those
-    levels.  Kernel values do not depend on batching, so the result is a
-    one-probe-per-step loop's, bit for bit.  Raises DomainError for a bad d,
-    x or y, and if the grid's first failing TV is not finite.
+    The grid is read block by block, in order, one kernel.max_tv call of
+    kernel.block_betas(d) betas each, up to its first block with a failing
+    or non-finite value; the first failing grid beta is then refined by
+    bisection from the grid beta before it, which may lie in the block
+    before.  The bisection is kernel.bisect with one kernel block per round:
+    it evaluates every midpoint the next levels could probe, then walks
+    those levels.  Kernel values do not depend on blocking, so the result is
+    a one-probe-per-step loop's, bit for bit.  Raises DomainError for a bad
+    d, x or y, and if the grid's first failing TV is not finite.
     """
-    grid = np.geomspace(1e-3, 100.0, 120)
-    params = ModelParams(x=x, y=y, beta=float(grid[0]), d=d)
+    params = ModelParams(x=x, y=y, beta=float(_FAILURE_GRID[0]), d=d)
     d, x, y = params.d, params.x, params.y
     threshold = 1.0 / (2 * d)
-    top = kernel.max_tv(d, x, y, grid)[0]
-    # the grid is read in order up to its first failing or non-finite value
-    stop = np.flatnonzero(~(top < threshold))
-    if not len(stop):
+    step = kernel.block_betas(d)
+    for start in range(0, len(_FAILURE_GRID), step):
+        top = kernel.max_tv(d, x, y, _FAILURE_GRID[start : start + step])[0]
+        # the first failing or non-finite value ends the grid stage
+        stop = np.flatnonzero(~(top < threshold))
+        if len(stop):
+            break
+    else:
         return None
-    i = int(stop[0])
-    where = f"at beta {float(grid[i])!r} for point {(x, y)} (d = {d})"
-    check_result(float(top[i]), "max TV", where, "the point or beta")
+    i = start + int(stop[0])
+    where = f"at beta {float(_FAILURE_GRID[i])!r} for point {(x, y)} (d = {d})"
+    check_result(float(top[stop[0]]), "max TV", where, "the point or beta")
     if i == 0:
-        return float(grid[0])
+        return float(_FAILURE_GRID[0])
     # levels per round: the largest L whose 2^L - 1 midpoints fit one block
-    levels = (kernel.block_betas(d) + 1).bit_length() - 1
+    levels = (step + 1).bit_length() - 1
 
     def fails(mids: list[float]) -> list[bool]:
         return (kernel.max_tv(d, x, y, np.array(mids))[0] >= threshold).tolist()
 
-    return kernel.bisect(fails, float(grid[i - 1]), float(grid[i]), 1e-6, levels)[1]
+    return kernel.bisect(fails, float(_FAILURE_GRID[i - 1]), float(_FAILURE_GRID[i]), 1e-6, levels)[1]
 
 
 def sample_strip_points(points_per_region: int, seed: int = 2026) -> tuple[tuple[float, float], ...]:

@@ -195,30 +195,38 @@ def cell_lemma1_table(params, tails: np.ndarray) -> np.ndarray:
     return out
 
 
+# find_failure_beta's grid, 120 geometric betas on [1e-3, 100], written out
+# here so the package does not supply it
+FAILURE_GRID = tuple(float(beta) for beta in np.geomspace(1e-3, 100.0, 120))
+
+
+def _fails(d, x, y, beta):
+    return exact_max_tv(ModelParams(x=x, y=y, beta=beta, d=d)).max_tv >= 1.0 / (2 * d)
+
+
+def first_failing_index(d, x, y):
+    """Index of the first FAILURE_GRID beta at which one exact_max_tv probe
+    fails, or None if every one holds."""
+    return next((i for i, beta in enumerate(FAILURE_GRID) if _fails(d, x, y, beta)), None)
+
+
 def sequential_failure_beta(d, x, y):
-    """Reference for find_failure_beta: one exact_max_tv probe per beta of its
-    grid (120 geometric betas on [1e-3, 100], written out here so the package
-    does not supply it) in increasing order, then the same bisection."""
-
-    def fails(beta):
-        return exact_max_tv(ModelParams(x=x, y=y, beta=beta, d=d)).max_tv >= 1.0 / (2 * d)
-
-    prev = None
-    for beta in np.geomspace(1e-3, 100.0, 120):
-        beta = float(beta)
-        if fails(beta):
-            if prev is None:
-                return beta
-            lo, hi = prev, beta
-            while hi - lo > 1e-6:
-                mid = 0.5 * (lo + hi)
-                if fails(mid):
-                    hi = mid
-                else:
-                    lo = mid
-            return hi
-        prev = beta
-    return None
+    """Reference for find_failure_beta: one exact_max_tv probe per beta of
+    FAILURE_GRID in increasing order up to the first failing one, then the
+    same bisection from the grid beta before it, one probe per step."""
+    i = first_failing_index(d, x, y)
+    if i is None:
+        return None
+    if i == 0:
+        return FAILURE_GRID[0]
+    lo, hi = FAILURE_GRID[i - 1], FAILURE_GRID[i]
+    while hi - lo > 1e-6:
+        mid = 0.5 * (lo + hi)
+        if _fails(d, x, y, mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def sequential_t_d(d):

@@ -124,6 +124,17 @@ class TestBoundsCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("beta", ["0", "1"])
+    def test_overflowing_exponent_names_the_point(self, capsys, beta):
+        # a = 2d|x + y + 1| is inf: the point is at fault, not a/b or beta
+        code, out, err = run_cli(capsys, "bounds", "-d", "2", "-x", "-1e308", "-y", "0.5", "--beta", beta)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: exponent a is inf at point (-1e+308, 0.5) (d = 2); "
+            "the point is too large in magnitude\n"
+        )
+
 
 class TestScanCommand:
     def test_rows(self, capsys):

@@ -36,6 +36,8 @@ from conftest import (
     cell_tv_table,
     class_tails,
     full_tails,
+    FAILURE_GRID,
+    first_failing_index,
     sequential_failure_beta,
     sequential_record,
 )
@@ -493,14 +495,28 @@ class TestFindFailureBeta:
         monkeypatch.setattr(module, name, counted)
         return calls
 
+    @staticmethod
+    def grid_blocks(blocks, d):
+        """How many of the leading tv_table calls in blocks read successive
+        block_betas(d) slices of the grid, from its start."""
+        step = kernel.block_betas(d)
+        n = 0
+        for *_, betas in blocks:
+            if not np.array_equal(betas, FAILURE_GRID[n * step : (n + 1) * step]):
+                break
+            n += 1
+        return n
+
     def test_concluding_remark_point_kernel_calls(self, monkeypatch):
-        # the grid stage and 16 bisection levels in rounds of 5: at most 5
-        # kernel calls, and no one-beta exact_max_tv probe
+        # the grid stage stops after the block holding grid beta 65 (2 of 3
+        # blocks), then 16 bisection levels in 4 rounds of 5: 6 kernel
+        # blocks, and no one-beta exact_max_tv probe
         want = sequential_failure_beta(2, 0.0, -2.0)
-        kernel_calls = self.count_calls(monkeypatch, kernel, "max_tv")
+        blocks = self.count_calls(monkeypatch, kernel, "tv_table")
         probes = self.count_calls(monkeypatch, specification, "exact_max_tv")
         assert find_failure_beta(2, 0.0, -2.0) == want
-        assert len(kernel_calls) <= 5
+        assert self.grid_blocks(blocks, 2) == 2
+        assert len(blocks) == 6
         assert probes == []
 
     def test_numpy_dimension_accepted(self):
@@ -514,15 +530,63 @@ class TestFindFailureBeta:
 
     @pytest.mark.parametrize("d, levels", [(1, 7), (2, 5), (3, 4), (4, 3), (6, 2), (17, 1)])
     def test_round_is_one_full_block(self, monkeypatch, d, levels):
-        # each bisection round evaluates the 2^L - 1 midpoints of L levels,
-        # with L the largest such that they fit one kernel block
-        assert 2**levels - 1 <= kernel.block_betas(d) < 2 ** (levels + 1) - 1
-        kernel_calls = self.count_calls(monkeypatch, kernel, "max_tv")
+        # the grid stage reads the blocks up to and including the one holding
+        # the first failing grid beta; then each bisection round evaluates the
+        # 2^L - 1 midpoints of L levels, with L the largest such that they
+        # fit one kernel block
+        step = kernel.block_betas(d)
+        assert 2**levels - 1 <= step < 2 ** (levels + 1) - 1
+        first = first_failing_index(d, 0.0, -2.0)
         blocks = self.count_calls(monkeypatch, kernel, "tv_table")
         find_failure_beta(d, 0.0, -2.0)
-        rounds = [len(betas) for *_, betas in kernel_calls[1:]]
+        read = self.grid_blocks(blocks, d)
+        assert read == first // step + 1 <= math.ceil(120 / step)
+        rounds = [len(betas) for *_, betas in blocks[read:]]
         assert rounds and set(rounds) == {2**levels - 1}
-        assert len(blocks) == len(kernel_calls) - 1 + math.ceil(120 / kernel.block_betas(d))
+
+    def test_inside_point_reads_every_grid_block(self, monkeypatch):
+        blocks = self.count_calls(monkeypatch, kernel, "tv_table")
+        assert find_failure_beta(4, -6.0, 0.0) is None
+        assert len(blocks) == self.grid_blocks(blocks, 4) == math.ceil(120 / 14) == 9
+
+    def test_outside_point_stops_before_the_last_grid_block(self, monkeypatch):
+        first = first_failing_index(4, 0.3, -2.0)
+        blocks = self.count_calls(monkeypatch, kernel, "tv_table")
+        find_failure_beta(4, 0.3, -2.0)
+        assert self.grid_blocks(blocks, 4) == first // 14 + 1 < 9
+
+    @pytest.mark.parametrize(
+        "d, x, y, block_cells",
+        [
+            # grid beta 56 fails first: the first of its 14-beta block
+            (4, -0.78, -3.0, None),
+            # grid beta 65 fails first: the first of its block with 65 betas per block
+            (2, 0.0, -2.0, 650),
+        ],
+    )
+    def test_first_failure_opening_a_block(self, monkeypatch, d, x, y, block_cells):
+        # the bracket's lower end is then the last beta of the block before
+        if block_cells is not None:
+            monkeypatch.setattr(kernel, "_BLOCK_CELLS", block_cells)
+        first = first_failing_index(d, x, y)
+        assert first > 0 and first % kernel.block_betas(d) == 0
+        assert find_failure_beta(d, x, y) == sequential_failure_beta(d, x, y)
+
+    @pytest.mark.parametrize(
+        "d, x, y, block_cells",
+        [
+            # one 170-beta block holds the whole grid
+            (1, 0.3, -2.0, None),
+            # grid beta 65 fails first, in the second of two 60-beta blocks
+            (2, 0.0, -2.0, 600),
+        ],
+    )
+    def test_first_failure_in_the_last_grid_block(self, monkeypatch, d, x, y, block_cells):
+        if block_cells is not None:
+            monkeypatch.setattr(kernel, "_BLOCK_CELLS", block_cells)
+        step = kernel.block_betas(d)
+        assert first_failing_index(d, x, y) // step == math.ceil(120 / step) - 1
+        assert find_failure_beta(d, x, y) == sequential_failure_beta(d, x, y)
 
     @pytest.mark.parametrize("x, y", [(1e308, -1e308), (-1e308, 5e307)])
     def test_non_finite_tv_is_domain_error(self, x, y):
