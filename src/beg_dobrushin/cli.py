@@ -143,6 +143,13 @@ def _spec_from_args(args) -> verify.SweepSpec:
             checks.add(by_value[name])
 
     beta_grid = _log_grid(args.beta_min, args.beta_max, args.beta_steps)
+    # a sweep's grid must increase: one beta always does; more need
+    # --beta-min < --beta-max, far enough apart that no two betas round equal
+    if any(a >= b for a, b in zip(beta_grid, beta_grid[1:])):
+        raise DomainError(
+            f"--beta-min and --beta-max must give {args.beta_steps} strictly increasing betas, "
+            f"got {args.beta_min!r} and {args.beta_max!r}"
+        )
     return verify.SweepSpec(d=args.d, points=points, beta_grid=beta_grid, checks=checks)
 
 

@@ -412,6 +412,13 @@ class TestBadValues:
             (("verify", "--points-per-region", "0"), "--points-per-region"),
             (("curve", "-d", "2", "--y-min", "-1", "--y-max", "1", "--steps", "1"), "--steps must be >= 2, got 1"),
             (("scan", "-d", "2", "-x", "0", "-y", "-2", "--steps", "1"), "--steps must be >= 2, got 1"),
+            (("verify", "--beta-min", "5", "--beta-max", "1", "--beta-steps", "3"),
+             "--beta-min and --beta-max must give 3 strictly increasing betas, got 5.0 and 1.0"),
+            (("verify", "--beta-min", "1", "--beta-max", "1", "--beta-steps", "2"),
+             "--beta-min and --beta-max must give 2 strictly increasing betas, got 1.0 and 1.0"),
+            # ends one float apart: some of the 40 betas round equal
+            (("verify", "--beta-min", "1", "--beta-max", "1.0000000000000002"),
+             "--beta-min and --beta-max must give 40 strictly increasing betas, got 1.0 and 1.0000000000000002"),
         ],
     )
     def test_option_value(self, capsys, argv, name):
@@ -475,38 +482,77 @@ class TestBadValues:
 class TestSingleWriter:
     """Each command's output is formatted in full before any of it is written."""
 
+    # argv and the whole stderr of each failing command
     FAILING = {
-        "region": ("region", "-d", "2", "-x", "-6", "-y", "1e308"),
-        "curve": ("curve", "-d", "2", "--y-min", "1e308", "--y-max", "1e308", "--steps", "2"),
-        "bounds": ("bounds", "-d", "2", "-x", "-1e308", "-y", "1e307", "--beta", "1"),
-        "scan": ("scan", "-d", "2", "-x", "1e308", "-y", "-1e308"),
-        "verify": ("verify", *NAN_SPEC, "--checks", "TVvsLemma1"),
+        "region": (("region", "-d", "2", "-x", "-6", "-y", "1e308"),
+                   "error: curve x is -inf at y=1e+308 (d = 2); y is too large in magnitude\n"),
+        "curve": (("curve", "-d", "2", "--y-min", "1e308", "--y-max", "1e308", "--steps", "2"),
+                  "error: curve x is -inf at y=1e+308 (d = 2); y is too large in magnitude\n"),
+        "bounds": (("bounds", "-d", "2", "-x", "-1e308", "-y", "1e307", "--beta", "1"),
+                   "error: exponent a is inf at point (-1e+308, 1e+307) (d = 2); "
+                   "the point is too large in magnitude\n"),
+        "scan": (("scan", "-d", "2", "-x", "1e308", "-y", "-1e308"),
+                 "error: max TV is nan at beta 0.001 for point (1e+308, -1e+308) (d = 2); "
+                 "the point or beta is too large in magnitude\n"),
+        "verify": (("verify", *NAN_SPEC, "--checks", "TVvsLemma1"),
+                   "error: TVvsLemma1 slack is nan at point (-2e+307, 1e+307), beta 50.0; "
+                   "the point or beta is too large in magnitude\n"),
+        # an overflow at a huge beta names that beta
+        "scan-huge-beta": (("scan", "-d", "2", "-x", "6", "-y", "0", "--beta-max", "1e308", "--steps", "3"),
+                           "error: max TV is nan at beta 5e+307 for point (6.0, 0.0) (d = 2); "
+                           "the point or beta is too large in magnitude\n"),
+        # a finite exponent a, then an overflowing scalar bound, which names itself
+        "bounds-lemma2": (("bounds", "-d", "2", "-x", "-1e308", "-y", "9e307", "--beta", "1"),
+                          "error: lemma2_bound is nan at point (-1e+308, 9e+307), beta 1.0 (d = 2); "
+                          "the point or beta is too large in magnitude\n"),
+        # a bound check with no point in A|B|C checked nothing: not a pass
+        "verify-outside-strip": (("verify", "--point", "0.5", "0.5"),
+                                 "error: every --point lies outside A|B|C, so AllvsTheorem1, "
+                                 "Lemma1vsLemma2, Lemma1vsLemma3, TVvsLemma1 checked nothing\n"),
     }
 
     @pytest.mark.parametrize("command", FAILING)
     def test_failed_command_leaves_output_file_unchanged(self, capsys, tmp_path, command):
+        argv, message = self.FAILING[command]
+        assert run_cli(capsys, *argv) == (2, "", message)
         target = tmp_path / "earlier.out"
         target.write_bytes(b"earlier output\n")
-        code, out, err = run_cli(capsys, *self.FAILING[command], "-o", str(target))
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ")  # the command ran: not an argparse usage error
+        assert run_cli(capsys, *argv, "-o", str(target)) == (2, "", message)
         assert target.read_bytes() == b"earlier output\n"
 
-    SUCCEEDING = {
-        "region": ("region", "-d", "2", "-x", "-6", "-y", "0", "--format", "csv"),
-        "curve": ("curve", "-d", "2", "--y-min", "-2", "--y-max", "2", "--steps", "5"),
-        "bounds": ("bounds", "-d", "2", "-x", "-5", "-y", "2", "--beta", "0.5"),
-        "scan": ("scan", "-d", "2", "-x", "0", "-y", "-2", "--steps", "5", "--format", "json"),
-        "verify": ("verify", "-d", "1", "--points-per-region", "1", "--beta-steps", "3",
-                   "--checks", "AllvsTheorem1,DobrushinSatisfied"),
+    # argv and exit code of each command that writes its output
+    WRITING = {
+        "region": (("region", "-d", "2", "-x", "-6", "-y", "0", "--format", "csv"), 0),
+        "curve": (("curve", "-d", "2", "--y-min", "-2", "--y-max", "2", "--steps", "5"), 0),
+        "bounds": (("bounds", "-d", "2", "-x", "-5", "-y", "2", "--beta", "0.5"), 0),
+        "scan": (("scan", "-d", "2", "-x", "0", "-y", "-2", "--steps", "5", "--format", "json"), 0),
+        "verify": (("verify", "-d", "1", "--points-per-region", "1", "--beta-steps", "3",
+                    "--checks", "AllvsTheorem1,DobrushinSatisfied"), 0),
+        "curve-band": (("curve", "-d", "2", "--y-min", "-1", "--y-max", "1", "--steps", "3"), 0),
+        "bounds-band-C": (("bounds", "-d", "2", "-x", "-3", "-y", "-2", "--beta", "0.5"), 0),
+        "scan-log": (("scan", "-d", "2", "-x", "-6", "-y", "0", "--log", "--beta-min", "0.05",
+                      "--beta-max", "5", "--steps", "3", "--format", "json"), 0),
+        "verify-d1": (("verify", "-d", "1", "--points-per-region", "1", "--beta-steps", "3"), 0),
+        "verify-d3": (("verify", "-d", "3", "--points-per-region", "4", "--beta-steps", "40"), 0),
+        # only verify needs an increasing grid, and one beta always is one
+        "scan-descending": (("scan", "-d", "2", "-x", "-6", "-y", "0", "--beta-min", "2",
+                             "--beta-max", "0.1", "--steps", "3"), 0),
+        "verify-one-beta": (("verify", "--beta-min", "5", "--beta-max", "1", "--beta-steps", "1",
+                             "--point", "-3", "0.5"), 0),
+        # DobrushinSatisfied fails right of the curve and at the concluding-remark point
+        "verify-all-checks": (("verify", "-d", "2", "--checks", TestVerifyCommand.ALL_CHECKS), 1),
+        "verify-point": (("verify", "-d", "2", "--point", "0", "-2", "--beta-steps", "5",
+                          "--checks", "DobrushinSatisfied"), 1),
     }
 
-    @pytest.mark.parametrize("command", SUCCEEDING)
+    @pytest.mark.parametrize("command", WRITING)
     def test_output_file_holds_the_stdout_bytes(self, capsys, tmp_path, command):
-        argv = self.SUCCEEDING[command]
+        argv, want = self.WRITING[command]
         code, out, err = run_cli(capsys, *argv)
+        assert code == want
         assert out
+        if argv[0] == "verify":  # a report, in a file or on stdout, is JSON
+            json.loads(out)
         target = tmp_path / "report.out"
         target.write_text("an earlier, longer file " * 200)
         assert run_cli(capsys, *argv, "-o", str(target)) == (code, "", err)

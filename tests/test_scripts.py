@@ -7,11 +7,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import beg_dobrushin
+
 ROOT = Path(__file__).resolve().parent.parent
+# the directory holding the imported package, so the script runs the same copy
+PACKAGE_PARENT = str(Path(beg_dobrushin.__file__).resolve().parent.parent)
 
 
 def test_run_certification_writes_passing_reports(tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=PACKAGE_PARENT)
     argv = [sys.executable, str(ROOT / "scripts" / "run_certification.py"),
             "--points-per-region", "1", "--out-dir", str(tmp_path)]
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
@@ -33,7 +37,7 @@ def test_run_certification_writes_passing_reports(tmp_path):
 
 
 def test_run_certification_rejects_empty_sample_before_writing(tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=PACKAGE_PARENT)
     out_dir = tmp_path / "reports"
     argv = [sys.executable, str(ROOT / "scripts" / "run_certification.py"),
             "--points-per-region", "0", "--out-dir", str(out_dir)]

@@ -588,6 +588,17 @@ class TestFindFailureBeta:
         assert first_failing_index(d, x, y) // step == math.ceil(120 / step) - 1
         assert find_failure_beta(d, x, y) == sequential_failure_beta(d, x, y)
 
+    def test_failure_before_a_non_finite_tv_in_its_block(self):
+        # d = 1 reads the whole grid in one block, whose max TV first fails
+        # at grid beta 71 and is nan from grid beta 118: the failure comes
+        # first, so the search returns it rather than raising
+        top = kernel.max_tv(1, 1e306, -1e306, np.array(FAILURE_GRID))[0]
+        assert kernel.block_betas(1) >= len(FAILURE_GRID)
+        assert first_failing_index(1, 1e306, -1e306) == 71
+        assert np.flatnonzero(~np.isfinite(top)).tolist() == [118, 119]
+        beta = find_failure_beta(1, 1e306, -1e306)
+        assert beta == sequential_failure_beta(1, 1e306, -1e306) == 0.883571419275404
+
     @pytest.mark.parametrize("x, y", [(1e308, -1e308), (-1e308, 5e307)])
     def test_non_finite_tv_is_domain_error(self, x, y):
         # nan >= threshold is False, which must not read as "holds everywhere"
