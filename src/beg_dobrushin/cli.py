@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import bounds, kernel, region, verify
+from . import bounds, kernel, region, specification, verify
 from .errors import DomainError
 from .model import ModelParams, check_int, check_real, check_result, classify_region
 
@@ -112,8 +112,7 @@ def cmd_scan(args) -> tuple[str, int]:
     non_finite = np.flatnonzero(~np.isfinite(top))
     if len(non_finite):
         i = non_finite[0]
-        where = f"at beta {betas[i]!r} for point {(args.x, args.y)} (d = {args.d})"
-        check_result(float(top[i]), "max TV", where, "the point or beta")
+        specification.checked_max_tv(float(top[i]), args.d, args.x, args.y, betas[i])
     rows = [{"beta": beta, "max_tv": t, "threshold": threshold, "satisfied": t < threshold}
             for beta, t in zip(betas, top.tolist())]
     return _format(rows, args.format), 0

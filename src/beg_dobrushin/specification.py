@@ -76,6 +76,12 @@ def total_variation(p: SpinDistribution, q: SpinDistribution) -> float:
     return 0.5 * sum(abs(a - b) for a, b in zip(p.as_tuple(), q.as_tuple()))
 
 
+def checked_max_tv(value: float, d: int, x: float, y: float, beta: float) -> float:
+    """value, the max TV at point (x, y) and beta in dimension d, if it is
+    finite; otherwise check_result's DomainError naming the point and beta."""
+    return check_result(value, "max TV", f"at beta {beta!r} for point {(x, y)} (d = {d})", "the point or beta")
+
+
 def exact_max_tv(params: ModelParams) -> DobrushinReport:
     """Maximize the conditional TV distance over all tails and boundary pairs.
 
@@ -89,8 +95,7 @@ def exact_max_tv(params: ModelParams) -> DobrushinReport:
     """
     d = params.d
     top, tail_i, pair_i = kernel.max_tv(d, params.x, params.y, np.array([params.beta]))
-    where = f"at beta {params.beta!r} for point {(params.x, params.y)} (d = {d})"
-    max_tv = check_result(float(top[0]), "max TV", where, "the point or beta")
+    max_tv = checked_max_tv(float(top[0]), d, params.x, params.y, params.beta)
     s1, s1_tilde = PAIR_ORDER[int(pair_i[0])]
     nb = NeighborConfig((s1, *kernel.class_tail(d, int(tail_i[0]))))
     return DobrushinReport(

@@ -11,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import bounds, kernel
+from . import bounds, kernel, specification
 from .errors import DomainError
 from .kernel import PAIR_ORDER
 from .model import STRIP_BANDS, ModelParams, check_dimension, check_int, check_real, check_result, classify_region
@@ -19,8 +19,13 @@ from .model import STRIP_BANDS, ModelParams, check_dimension, check_int, check_r
 SLACK_TOL = 1e-12
 MAX_WITNESSES = 100
 
+
+def log_beta_grid(beta_min: float = 1e-3, beta_max: float = 50.0, n: int = 40) -> tuple[float, ...]:
+    return tuple(float(b) for b in np.geomspace(beta_min, beta_max, n))
+
+
 # find_failure_beta's scan grid, built once and read-only
-_FAILURE_GRID = np.geomspace(1e-3, 100.0, 120)
+_FAILURE_GRID = np.array(log_beta_grid(1e-3, 100.0, 120))
 _FAILURE_GRID.flags.writeable = False
 
 
@@ -204,17 +209,19 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
 def find_failure_beta(d: int, x: float, y: float) -> float | None:
     """Smallest temperature (refined to 1e-6 in beta) where the exact
     single-site condition fails, or None if it holds at every beta of the
-    scan grid: 120 geometric betas on [1e-3, 100].
+    scan grid: log_beta_grid's 120 geometric betas on [1e-3, 100].
 
     The grid is read block by block, in order, one kernel.max_tv call of
     kernel.block_betas(d) betas each, up to its first block with a failing
     or non-finite value; the first failing grid beta is then refined by
     bisection from the grid beta before it, which may lie in the block
-    before.  The bisection is kernel.bisect with one kernel block per round:
-    it evaluates every midpoint the next levels could probe, then walks
-    those levels.  Kernel values do not depend on blocking, so the result is
-    a one-probe-per-step loop's, bit for bit.  Raises DomainError for a bad
-    d, x or y, and if the grid's first failing TV is not finite.
+    before, or from beta = 0 when it is the grid's first beta, so the
+    result is the smallest failing beta to 1e-6 whatever the grid's first
+    beta reads.  The bisection is kernel.bisect with one kernel block per
+    round: it evaluates every midpoint the next levels could probe, then
+    walks those levels.  Kernel values do not depend on blocking, so the
+    result is a one-probe-per-step loop's, bit for bit.  Raises DomainError
+    for a bad d, x or y, and if the grid's first failing TV is not finite.
     """
     params = ModelParams(x=x, y=y, beta=float(_FAILURE_GRID[0]), d=d)
     d, x, y = params.d, params.x, params.y
@@ -229,17 +236,17 @@ def find_failure_beta(d: int, x: float, y: float) -> float | None:
     else:
         return None
     i = start + int(stop[0])
-    where = f"at beta {float(_FAILURE_GRID[i])!r} for point {(x, y)} (d = {d})"
-    check_result(float(top[stop[0]]), "max TV", where, "the point or beta")
-    if i == 0:
-        return float(_FAILURE_GRID[0])
+    specification.checked_max_tv(float(top[stop[0]]), d, x, y, float(_FAILURE_GRID[i]))
     # levels per round: the largest L whose 2^L - 1 midpoints fit one block
     levels = (step + 1).bit_length() - 1
 
     def fails(mids: list[float]) -> list[bool]:
         return (kernel.max_tv(d, x, y, np.array(mids))[0] >= threshold).tolist()
 
-    return kernel.bisect(fails, float(_FAILURE_GRID[i - 1]), float(_FAILURE_GRID[i]), 1e-6, levels)[1]
+    # every conditional is uniform at beta = 0, so the max TV there is
+    # 0 < 1/(2d): a bracket below the grid's first beta starts at 0
+    lo = float(_FAILURE_GRID[i - 1]) if i else 0.0
+    return kernel.bisect(fails, lo, float(_FAILURE_GRID[i]), 1e-6, levels)[1]
 
 
 def sample_strip_points(points_per_region: int, seed: int = 2026) -> tuple[tuple[float, float], ...]:
@@ -257,10 +264,6 @@ def sample_strip_points(points_per_region: int, seed: int = 2026) -> tuple[tuple
             y = rng.uniform(lo, hi)
             pts.append((min(-(y + 1), 0.0) - rng.uniform(0.1, 6.0), y))
     return tuple(pts)
-
-
-def log_beta_grid(beta_min: float = 1e-3, beta_max: float = 50.0, n: int = 40) -> tuple[float, ...]:
-    return tuple(float(b) for b in np.geomspace(beta_min, beta_max, n))
 
 
 def default_certification_spec(d: int, points_per_region: int = 20, seed: int = 2026) -> SweepSpec:

@@ -213,13 +213,12 @@ def first_failing_index(d, x, y):
 def sequential_failure_beta(d, x, y):
     """Reference for find_failure_beta: one exact_max_tv probe per beta of
     FAILURE_GRID in increasing order up to the first failing one, then the
-    same bisection from the grid beta before it, one probe per step."""
+    same bisection from the grid beta before it (from beta = 0, where the
+    max TV is 0, for the first grid beta), one probe per step."""
     i = first_failing_index(d, x, y)
     if i is None:
         return None
-    if i == 0:
-        return FAILURE_GRID[0]
-    lo, hi = FAILURE_GRID[i - 1], FAILURE_GRID[i]
+    lo, hi = (FAILURE_GRID[i - 1] if i else 0.0), FAILURE_GRID[i]
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
         if _fails(d, x, y, mid):

@@ -65,6 +65,8 @@ class TestClassifyRegion:
         # 1 + 2x + y = 0 separates F from D
         assert classify_region(-1, 1).major is MajorRegion.BOUNDARY
         assert classify_region(-1 + 1e-14, 1).major is MajorRegion.BOUNDARY
+        # the boundary band is 1e-12 wide: 1e-10 off the line is F
+        assert classify_region(-1 + 1e-10, 1).major is MajorRegion.FERROMAGNETIC
 
     def test_disordered_outside_strip(self):
         # in D but x + y + 1 >= 0
@@ -96,6 +98,8 @@ class TestGroundPairs:
         assert ground_pairs(-5, 2) == frozenset({(0, 0)})
         assert ground_pairs(1, -3) == frozenset({(-1, 0), (0, 1)})
         assert ground_pairs(0.1, 0) == frozenset({(-1, -1), (1, 1)})
+        # energies 2e-10 apart are no tie: the tie band is 1e-12 wide
+        assert ground_pairs(-0.5 + 1e-10, 0) == frozenset({(-1, -1), (1, 1)})
 
     def test_agrees_with_classification(self, rng):
         majors = list(GROUND_BY_MAJOR)

@@ -19,6 +19,7 @@ from beg_dobrushin import (
     pair_energy,
     total_variation,
 )
+from beg_dobrushin import kernel
 from beg_dobrushin.kernel import PAIR_ORDER, classes
 from beg_dobrushin.specification import boundary_ring
 from conftest import brute_force_marginal, cell_tv_table, class_loop_max_tv, full_tails
@@ -56,6 +57,10 @@ class TestSpinDistribution:
             SpinDistribution(0.5, 0.5, 0.5)
         with pytest.raises(DomainError):
             SpinDistribution(-0.5, 0.5, 1.0)
+        # the sum may miss 1 by up to 1e-12
+        assert SpinDistribution(0.5, 0.5 + 5e-13, 0.0).p_zero == 0.5 + 5e-13
+        with pytest.raises(DomainError, match="not 1"):
+            SpinDistribution(0.5, 0.5 + 2e-12, 0.0)
 
 
 class TestConditionalDistribution:
@@ -149,6 +154,16 @@ class TestExactMaxTv:
         assert str(err.value) == (
             "max TV is nan at beta 1e+308 for point (6.0, 0.0) (d = 2); the point or beta is too large in magnitude"
         )
+
+    def test_exact_tie_fails(self, monkeypatch):
+        # Dobrushin's condition is strict: a max TV of exactly 1/(2d) fails
+        def at_threshold(d, x, y, betas):
+            return np.array([1 / (2 * d)]), np.array([0]), np.array([0])
+
+        monkeypatch.setattr(kernel, "max_tv", at_threshold)
+        report = exact_max_tv(ModelParams(x=-6, y=0, beta=1.0, d=2))
+        assert report.max_tv == 0.25
+        assert not report.satisfied
 
     def test_concluding_remark_point_fails(self):
         # at (0, y) with y < -1 the condition breaks at low temperature

@@ -27,6 +27,7 @@ from beg_dobrushin.verify import (
     ALL_CHECKS,
     BOUND_CHECKS,
     MAX_WITNESSES,
+    CheckResult,
     SLACK_TOL,
     Witness,
     log_beta_grid,
@@ -34,6 +35,7 @@ from beg_dobrushin.verify import (
 from conftest import (
     cell_lemma1_table,
     cell_tv_table,
+    class_loop_max_tv,
     class_tails,
     full_tails,
     FAILURE_GRID,
@@ -128,6 +130,10 @@ class TestRunSweep:
         assert report.all_passed
         for check in report.checks:
             assert check.worst_slack >= -1e-12
+
+    def test_pass_allows_slack_down_to_minus_slack_tol(self):
+        assert CheckResult("x", worst_slack=-SLACK_TOL).passed
+        assert not CheckResult("x", worst_slack=-1e-10).passed
 
     def test_unclassifiable_point_reported(self):
         spec = small_spec(points=((0.0, -2.0),), checks=frozenset({Check.ALL_VS_THEOREM1}))
@@ -465,7 +471,7 @@ class TestFindFailureBeta:
         [
             (2, 0.3, -2.0),
             (3, 0.1, -2.5),
-            # the first grid beta already fails: no bisection
+            # the first grid beta already fails: bisection from beta = 0
             (2, 0.0, -2000.0),
             # a grid step of about 0.05 refined to 1e-6: 16 levels, so
             # several rounds at every d
@@ -523,10 +529,19 @@ class TestFindFailureBeta:
         # check_dimension once rejected numpy integers here
         assert find_failure_beta(np.int64(2), 0.0, -2.0) == find_failure_beta(2, 0.0, -2.0)
 
-    def test_first_grid_beta_failing_is_returned(self, monkeypatch):
-        kernel_calls = self.count_calls(monkeypatch, kernel, "max_tv")
-        assert find_failure_beta(2, 0.0, -2000.0) == 1e-3
-        assert len(kernel_calls) == 1
+    @pytest.mark.parametrize("x, y", [(0.0, 1e4), (0.0, -2000.0)])
+    def test_first_grid_beta_failing_is_bisected_from_zero(self, monkeypatch, x, y):
+        # the bracket below the grid's first beta starts at beta = 0, so the
+        # result is the first failure to 1e-6, not the grid's 1e-3
+        assert first_failing_index(2, x, y) == 0
+        blocks = self.count_calls(monkeypatch, kernel, "tv_table")
+        beta = find_failure_beta(2, x, y)
+        assert 0 < beta < FAILURE_GRID[0]
+        assert class_loop_max_tv(ModelParams(x=x, y=y, beta=beta, d=2)) >= 0.25
+        assert class_loop_max_tv(ModelParams(x=x, y=y, beta=beta - 1e-6, d=2)) < 0.25
+        # one grid block, then full rounds of 5 levels
+        assert self.grid_blocks(blocks, 2) == 1
+        assert {len(betas) for *_, betas in blocks[1:]} == {2**5 - 1}
 
     @pytest.mark.parametrize("d, levels", [(1, 7), (2, 5), (3, 4), (4, 3), (6, 2), (17, 1)])
     def test_round_is_one_full_block(self, monkeypatch, d, levels):
