@@ -26,7 +26,11 @@ The domain contract of every public entry:
 - ExponentPair is the one exception to finiteness: it admits a = +inf, which
   band_exponents gives where 2d|x + y + 1| overflows; what reads it
   (beta_critical, the sweep's slack check, the CLI's output fields) raises
-  DomainError for the non-finite result instead.
+  DomainError for the non-finite result instead.  At the other end, a point
+  that classify_region's exact signs put in band A or B, but whose float
+  x + y + 1 rounds to 0, such as (-1.0000000000000002, 2.2204460492503052e-16),
+  gets a = 0, and exponents (so `begdob bounds` and `begdob verify --point`)
+  raises DomainError "exponents must be positive, got a=0.0, b=2.0".
 """
 
 from .bounds import (

@@ -8,6 +8,7 @@ import numbers
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -16,11 +17,6 @@ from .errors import DegenerateGroundStateError, DomainError
 
 SPIN_VALUES = (-1, 0, 1)
 _SPIN_WANT = f"be one of {SPIN_VALUES}"
-
-# Points closer than this to a defining hyperplane are labeled Boundary.
-BOUNDARY_TOL = 1e-12
-
-_ENERGY_TIE_TOL = 1e-12
 
 # the types check_real takes (a bool is an int, and is refused separately)
 _REALS = (int, float, np.integer, np.floating)
@@ -168,30 +164,40 @@ class RegionLabel:
     sub: SubRegion | None = None
 
 
+def _energy(si: int, sj: int, x, y):
+    """pair_energy's formula, for float or Fraction couplings."""
+    return -(si * sj + y * si * si * sj * sj + x * (si * si + sj * sj))
+
+
 def pair_energy(si: int, sj: int, x: float, y: float) -> float:
     """Energy of a nearest-neighbor spin pair: -(si*sj + y*si^2*sj^2 + x*(si^2+sj^2));
     DomainError for a bad spin or a non-finite x or y."""
-    si, sj = check_spin(si), check_spin(sj)
-    x, y = check_real("x", x), check_real("y", y)
-    return -(si * sj + y * si * si * sj * sj + x * (si * si + sj * sj))
+    return _energy(check_spin(si), check_spin(sj), check_real("x", x), check_real("y", y))
 
 
 def classify_region(x: float, y: float) -> RegionLabel:
     """Classify a coupling point into ferromagnetic / disordered / antiquadrupolar.
 
-    Points within BOUNDARY_TOL of a defining hyperplane get the Boundary label.
-    Inside the disordered region, the sub-label picks out the y-band (A: y >= 1,
-    B: |y| < 1, C: y <= -1) of the strip x + y + 1 < 0, x < 0; disordered points
-    outside that strip are tagged OutsideU.  x and y pass check_real.
+    The regions are cut by the lines 1 + 2x + y = 0, 1 + x + y = 0 and x = 0,
+    and each form's sign is exact, so Boundary is the label of exactly the
+    points on a line.  Inside the disordered region, the sub-label picks out
+    the y-band (A: y >= 1, B: |y| < 1, C: y <= -1) of the strip x + y + 1 < 0,
+    x < 0; disordered points outside that strip are tagged OutsideU.  x and y
+    pass check_real.
     """
     x, y = check_real("x", x), check_real("y", y)
-    p = 1 + 2 * x + y
-    q = 1 + x + y
-    if p > BOUNDARY_TOL and q > BOUNDARY_TOL:
+    # fsum rounds the exact sum once, so p and q carry its exact sign; 2 * x
+    # is exact, or an infinity of the right sign
+    try:
+        p = math.fsum((1.0, 2 * x, y))
+        q = math.fsum((1.0, x, y))
+    except OverflowError:  # same-signed x and y past the float range: both have y's sign
+        p = q = y
+    if p > 0 and q > 0:
         return RegionLabel(MajorRegion.FERROMAGNETIC)
-    if p < -BOUNDARY_TOL and x < -BOUNDARY_TOL:
+    if p < 0 and x < 0:
         sub = SubRegion.OUTSIDE_U
-        if q < -BOUNDARY_TOL:  # x + y + 1 < 0 combined with x < 0 puts the point in A|B|C
+        if q < 0:  # x + y + 1 < 0 combined with x < 0 puts the point in A|B|C
             if y >= 1:
                 sub = SubRegion.A
             elif y <= -1:
@@ -199,7 +205,7 @@ def classify_region(x: float, y: float) -> RegionLabel:
             else:
                 sub = SubRegion.B
         return RegionLabel(MajorRegion.DISORDERED, sub)
-    if q < -BOUNDARY_TOL and x > BOUNDARY_TOL:
+    if q < 0 and x > 0:
         return RegionLabel(MajorRegion.ANTIQUADRUPOLAR, SubRegion.OUTSIDE_U)
     return RegionLabel(MajorRegion.BOUNDARY)
 
@@ -215,15 +221,16 @@ _GROUND_SETS = {
 def ground_pairs(x: float, y: float) -> frozenset[tuple[int, int]]:
     """Minimum-energy unordered spin pairs at couplings (x, y).
 
-    Raises DegenerateGroundStateError when the minimizing set is not one of the
-    three interior patterns (which happens exactly on region boundaries).
+    The six energies are exact Fractions of x and y, computed apart from
+    classify_region, and only exact ties count, so DegenerateGroundStateError,
+    raised when the minimizing set is not one of the three interior patterns,
+    occurs exactly where classify_region gives Boundary.  x and y pass
+    check_real.
     """
-    energies = {
-        pair: pair_energy(pair[0], pair[1], x, y)
-        for pair in combinations_with_replacement(SPIN_VALUES, 2)
-    }
+    fx, fy = Fraction(check_real("x", x)), Fraction(check_real("y", y))
+    energies = {pair: _energy(*pair, fx, fy) for pair in combinations_with_replacement(SPIN_VALUES, 2)}
     emin = min(energies.values())
-    ground = frozenset(p for p, e in energies.items() if e - emin <= _ENERGY_TIE_TOL)
+    ground = frozenset(p for p, e in energies.items() if e == emin)
     if ground not in _GROUND_SETS:
         raise DegenerateGroundStateError(
             f"ambiguous minimum-energy pair set {sorted(ground)} at (x={x}, y={y})"

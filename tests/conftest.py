@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -15,7 +16,7 @@ from beg_dobrushin import (
 )
 from beg_dobrushin import kernel
 from beg_dobrushin.kernel import PAIR_ORDER
-from beg_dobrushin.model import MajorRegion
+from beg_dobrushin.model import MajorRegion, RegionLabel, SubRegion
 from beg_dobrushin.verify import MAX_WITNESSES, SLACK_TOL, CheckResult
 
 
@@ -61,6 +62,26 @@ def point_in_major(major: MajorRegion, rng: random.Random) -> tuple[float, float
         y = -1 - x - rng.uniform(0.1, 4.0)
         return (x, y)
     raise ValueError(major)
+
+
+def exact_region(x: float, y: float) -> RegionLabel:
+    """The label of (x, y) from the exact signs of 1 + 2x + y, 1 + x + y and
+    x, computed as Fractions: F where the first two are positive, D where the
+    first and x are negative, AQ where the second is negative and x positive,
+    Boundary elsewhere; a D point is in band A, B or C of the strip where also
+    1 + x + y < 0, and OutsideU otherwise."""
+    fx, fy = Fraction(x), Fraction(y)
+    p, q = 1 + 2 * fx + fy, 1 + fx + fy
+    if p > 0 and q > 0:
+        return RegionLabel(MajorRegion.FERROMAGNETIC)
+    if p < 0 and fx < 0:
+        if q >= 0:
+            return RegionLabel(MajorRegion.DISORDERED, SubRegion.OUTSIDE_U)
+        band = SubRegion.A if fy >= 1 else SubRegion.C if fy <= -1 else SubRegion.B
+        return RegionLabel(MajorRegion.DISORDERED, band)
+    if q < 0 and fx > 0:
+        return RegionLabel(MajorRegion.ANTIQUADRUPOLAR, SubRegion.OUTSIDE_U)
+    return RegionLabel(MajorRegion.BOUNDARY)
 
 
 @lru_cache(maxsize=None)

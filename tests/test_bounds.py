@@ -11,7 +11,9 @@ from beg_dobrushin import (
     ExponentPair,
     ModelParams,
     NeighborConfig,
+    SubRegion,
     beta_critical,
+    classify_region,
     conditional_distribution,
     exponents,
     lemma1_bound,
@@ -53,6 +55,14 @@ class TestExponents:
             exponents(ModelParams(x=0.1, y=0, beta=1, d=2))
         with pytest.raises(DomainError):
             exponents(ModelParams(x=-0.6, y=0, beta=1, d=2))
+
+    def test_strip_edge_underflow_raises(self):
+        # exactly, 1 + x + y is -7.9e-31, so the point is in band
+        # B, but the float x + y + 1 of band_exponents rounds to 0
+        x, y = -1.0000000000000002, 2.2204460492503052e-16
+        assert classify_region(x, y).sub is SubRegion.B
+        with pytest.raises(DomainError, match=r"^exponents must be positive, got a=0\.0, b=2\.0$"):
+            exponents(ModelParams(x=x, y=y, beta=1, d=2))
 
     def test_exponent_pair_validation(self):
         with pytest.raises(DomainError):

@@ -505,6 +505,9 @@ class TestSingleWriter:
         "bounds-lemma2": (("bounds", "-d", "2", "-x", "-1e308", "-y", "9e307", "--beta", "1"),
                           "error: lemma2_bound is nan at point (-1e+308, 9e+307), beta 1.0 (d = 2); "
                           "the point or beta is too large in magnitude\n"),
+        # a band B point whose exponent a = 2d|x + y + 1| rounds to 0
+        "verify-strip-edge": (("verify", "--point", "-1.0000000000000002", "2.2204460492503052e-16"),
+                              "error: exponents must be positive, got a=0.0, b=2.0\n"),
         # a bound check with no point in A|B|C checked nothing: not a pass
         "verify-outside-strip": (("verify", "--point", "0.5", "0.5"),
                                  "error: every --point lies outside A|B|C, so AllvsTheorem1, "

@@ -14,9 +14,9 @@ from beg_dobrushin import (
     ground_pairs,
     pair_energy,
 )
-from beg_dobrushin.model import MajorRegion, SubRegion, check_result, check_spin
+from beg_dobrushin.model import MajorRegion, RegionLabel, SubRegion, check_result, check_spin
 
-from conftest import point_in_band, point_in_major
+from conftest import exact_region, point_in_band, point_in_major
 
 spins = st.sampled_from((-1, 0, 1))
 couplings = st.floats(-10, 10, allow_nan=False)
@@ -25,6 +25,21 @@ GROUND_BY_MAJOR = {
     MajorRegion.FERROMAGNETIC: frozenset({(-1, -1), (1, 1)}),
     MajorRegion.DISORDERED: frozenset({(0, 0)}),
     MajorRegion.ANTIQUADRUPOLAR: frozenset({(-1, 0), (0, 1)}),
+}
+
+F, D, AQ = MajorRegion.FERROMAGNETIC, MajorRegion.DISORDERED, MajorRegion.ANTIQUADRUPOLAR
+
+# points off a line whose float 1 + 2x + y or 1 + x + y is 0 or subnormal
+# (the first five) or overflows (the last three), with their exact labels
+EXACT_SIDE = {
+    (-1e17, 2e17): (F, None),  # 1 + 2x + y = 1
+    (5e-324, -1.0): (F, None),
+    (-5e-324, -1.0): (D, SubRegion.C),
+    (-0.5, 5e-324): (F, None),
+    (-0.5, -5e-324): (D, SubRegion.OUTSIDE_U),
+    (1e308, -1.5e308): (AQ, SubRegion.OUTSIDE_U),
+    (-6e307, -1e308): (D, SubRegion.C),
+    (-1e308, 1.7e308): (D, SubRegion.OUTSIDE_U),
 }
 
 
@@ -64,9 +79,14 @@ class TestClassifyRegion:
     def test_boundary_label(self):
         # 1 + 2x + y = 0 separates F from D
         assert classify_region(-1, 1).major is MajorRegion.BOUNDARY
-        assert classify_region(-1 + 1e-14, 1).major is MajorRegion.BOUNDARY
-        # the boundary band is 1e-12 wide: 1e-10 off the line is F
+        # Boundary is exactly the line: 1e-14 and 1e-10 off it are F
+        assert classify_region(-1 + 1e-14, 1).major is MajorRegion.FERROMAGNETIC
         assert classify_region(-1 + 1e-10, 1).major is MajorRegion.FERROMAGNETIC
+        # points whose rounded 1 + 2x + y or 1 + x + y is 0 or inf get the
+        # exact side, from classify_region and ground_pairs alike
+        for (x, y), (major, sub) in EXACT_SIDE.items():
+            assert classify_region(x, y) == RegionLabel(major, sub), (x, y)
+            assert ground_pairs(x, y) == GROUND_BY_MAJOR[major], (x, y)
 
     def test_disordered_outside_strip(self):
         # in D but x + y + 1 >= 0
@@ -98,7 +118,7 @@ class TestGroundPairs:
         assert ground_pairs(-5, 2) == frozenset({(0, 0)})
         assert ground_pairs(1, -3) == frozenset({(-1, 0), (0, 1)})
         assert ground_pairs(0.1, 0) == frozenset({(-1, -1), (1, 1)})
-        # energies 2e-10 apart are no tie: the tie band is 1e-12 wide
+        # energies 2e-10 apart are no tie: only exact ties count
         assert ground_pairs(-0.5 + 1e-10, 0) == frozenset({(-1, -1), (1, 1)})
 
     def test_agrees_with_classification(self, rng):
@@ -112,6 +132,33 @@ class TestGroundPairs:
     def test_non_finite_coupling_is_domain_error(self):
         with pytest.raises(DomainError, match="x must be finite"):
             ground_pairs(math.nan, 0.0)
+
+    def test_matches_exact_signs_near_the_lines(self, rng):
+        # a few ulps off 1 + 2x + y = 0 and 1 + x + y = 0 for |x| from 1e-8
+        # to 1e300, and off x = 0 at subnormal x; Boundary must be exactly
+        # where ground_pairs finds no interior ground set
+        def ulps(v, k):
+            for _ in range(abs(k)):
+                v = math.nextafter(v, math.copysign(math.inf, k))
+            return v
+
+        boundaries = 0
+        for i in range(3000):
+            if i % 3 == 2:
+                x = rng.randint(-4, 4) * 5e-324
+                y = ulps(rng.choice((-1.0, rng.uniform(-5.0, 3.0))), rng.randint(-3, 3))
+            else:
+                x = ulps(rng.choice((-1, 1)) * 10 ** rng.uniform(-8, 300), rng.randint(-2, 2))
+                y = ulps(-1 - (2 - i % 3) * x, rng.randint(-3, 3))
+            label = exact_region(x, y)
+            assert classify_region(x, y) == label, (x, y)
+            if label.major is MajorRegion.BOUNDARY:
+                boundaries += 1
+                with pytest.raises(DegenerateGroundStateError):
+                    ground_pairs(x, y)
+            else:
+                assert ground_pairs(x, y) == GROUND_BY_MAJOR[label.major], (x, y)
+        assert 0 < boundaries < 3000
 
     def test_boundary_degeneracy_raises(self):
         # on 1 + 2x + y = 0 the pairs ++ and 00 tie

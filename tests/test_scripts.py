@@ -46,3 +46,24 @@ def test_run_certification_rejects_empty_sample_before_writing(tmp_path):
     assert done.stderr.endswith("error: --points-per-region must be >= 1, got 0\n")
     assert "Traceback" not in done.stderr
     assert not out_dir.exists()
+
+
+def test_count_code_skips_blanks_comments_and_docstrings(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        '"""Module docstring,\n\nover three lines."""\n'
+        "# a comment\n"
+        "import math  # counted\n"
+        "\n"
+        "def f(x):\n"
+        '    """Function docstring."""\n'
+        "    text = '''a string\n"
+        "\n"
+        "    that is code'''\n"
+        "    return math.sqrt(x)\n"
+    )
+    argv = [sys.executable, str(ROOT / "scripts" / "count_code.py"), str(tmp_path)]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    # import, def, the string's two non-blank lines and the return
+    assert done.stdout == f"5 {source}\n5 total\n"
