@@ -67,13 +67,14 @@ def conditional_distribution(params: ModelParams, nb: NeighborConfig) -> SpinDis
     exps = [params.beta * (xi * xi * coef + xi * s) for xi in (-1, 0, 1)]
     top = max(exps)
     weights = [math.exp(e - top) for e in exps]
-    z = sum(weights)
+    z = (weights[0] + weights[1]) + weights[2]  # not sum(), which compensates from Python 3.12 on
     return SpinDistribution(weights[0] / z, weights[1] / z, weights[2] / z)
 
 
 def total_variation(p: SpinDistribution, q: SpinDistribution) -> float:
     """Half the L1 distance between two spin distributions."""
-    return 0.5 * sum(abs(a - b) for a, b in zip(p.as_tuple(), q.as_tuple()))
+    d_minus, d_zero, d_plus = (abs(a - b) for a, b in zip(p.as_tuple(), q.as_tuple()))
+    return 0.5 * ((d_minus + d_zero) + d_plus)  # not sum(), as in conditional_distribution
 
 
 def checked_max_tv(value: float, d: int, x: float, y: float, beta: float) -> float:
@@ -127,6 +128,14 @@ def finite_volume_marginal(
     """Exact center-spin marginal of the finite-volume Gibbs distribution on a
     box_side x box_side box in Z^2 with a fully specified boundary ring.
 
+    By the DLR equations the marginal is the center's conditional law averaged
+    over the rest of the box, and that law sees the center's four neighbors
+    only through K = sum(s^2) and N = sum(s).  So the center is summed out in
+    closed form: the 3^(box_side^2 - 1) configurations of the other box sites
+    are enumerated, each exponent -beta*E_rest (the bonds that do not touch
+    the center) is grouped under its (K, N), and each class is weighted by
+    exp(beta*(xi*N + y*xi^2*K + x*(4*xi^2 + K))), the center's four bonds.
+
     `boundary` is either a mapping from the sites of `boundary_ring(box_side)`,
     every one and no other, to spins, or else one spin for the whole ring.
     DomainError for a box_side that is not an int or a numpy integer (a bool
@@ -138,7 +147,6 @@ def finite_volume_marginal(
     box_side = check_int("box_side", box_side, "be an integer", lambda _: True)
     if box_side not in (2, 3):
         raise CapacityError(f"box_side must be 2 or 3, got {_shown(box_side)}")
-    sites = [(i, j) for i in range(box_side) for j in range(box_side)]
     ring = boundary_ring(box_side)
     if isinstance(boundary, Mapping):
         bmap = dict(boundary)
@@ -148,15 +156,23 @@ def finite_volume_marginal(
         extra = [site for site in bmap if site not in ring]
         if extra:
             raise DomainError(f"boundary assignment has sites off the ring {extra}")
-        for v in bmap.values():
-            check_spin(v)
+        bmap = {site: check_spin(v) for site, v in bmap.items()}
     else:
         bmap = dict.fromkeys(ring, check_spin(boundary))
 
+    ci = (box_side - 1) // 2
+    center = (ci, ci)
+    box = [(i, j) for i in range(box_side) for j in range(box_side)]
+    around = [(ci + di, ci + dj) for di, dj in ((1, 0), (0, 1), (-1, 0), (0, -1))]
+    # the center's box neighbors lead, so each of their assignments heads a
+    # run of configurations of the remaining sites
+    heads = [site for site in around if site in box]
+    sites = heads + [site for site in box if site != center and site not in heads]
+    ring_spins = [bmap[site] for site in around if site not in box]
+
     # A bond's energy takes one of nine values: bond[i][j] is the energy of
     # spins SPIN_VALUES[i], SPIN_VALUES[j], and configurations hold positions
-    # in SPIN_VALUES.  The sum adds the same floats in the same order as one
-    # pair_energy call per bond would.
+    # in SPIN_VALUES.
     bond = [[pair_energy(a, b, params.x, params.y) for b in SPIN_VALUES] for a in SPIN_VALUES]
     index = {site: i for i, site in enumerate(sites)}
     inner_pairs = []
@@ -167,23 +183,38 @@ def finite_volume_marginal(
             if (ni, nj) in index:
                 if (di, dj) in ((1, 0), (0, 1)):  # count interior pairs once
                     inner_pairs.append((index[(i, j)], index[(ni, nj)]))
-            else:
+            elif (ni, nj) != center:
                 edge_pairs.append((index[(i, j)], SPIN_VALUES.index(bmap[(ni, nj)])))
 
-    center = index[((box_side - 1) // 2, (box_side - 1) // 2)]
-    exps = []
-    centers = []
-    for config in product(range(3), repeat=len(sites)):
-        energy = 0.0
-        for a, b in inner_pairs:
-            energy += bond[config[a]][config[b]]
-        for a, b in edge_pairs:
-            energy += bond[config[a]][b]
-        exps.append(-params.beta * energy)
-        centers.append(config[center])
-    top = max(exps)
+    beta, x, y = params.beta, params.x, params.y
+    exps = {}  # (K, N) -> the exponents -beta*E_rest of that class
+    for head in product(range(3), repeat=len(heads)):
+        nbrs = [SPIN_VALUES[p] for p in head] + ring_spins
+        class_exps = exps.setdefault((sum(s * s for s in nbrs), sum(nbrs)), [])
+        for rest in product(range(3), repeat=len(sites) - len(heads)):
+            config = head + rest
+            energy = 0.0
+            for a, b in inner_pairs:
+                energy += bond[config[a]][config[b]]
+            for a, b in edge_pairs:
+                energy += bond[config[a]][b]
+            class_exps.append(-beta * energy)
+
+    # per class its top T, the sum S of exp(e - T) added in order, and per xi
+    # the exponent T + beta*(xi*N + y*xi^2*K + x*(4*xi^2 + K)) of its share;
+    # at beta = 0 every exponent is 0, so the sums count configurations and
+    # the law is exactly uniform
+    classes = []
+    for (k, n), class_exps in exps.items():
+        t = max(class_exps)
+        s = 0.0
+        for e in class_exps:
+            s += math.exp(e - t)
+        classes.append((s, [t + beta * (xi * n + y * xi * xi * k + x * (4 * xi * xi + k)) for xi in SPIN_VALUES]))
+    top = max(max(by_xi) for _, by_xi in classes)
     sums = [0.0, 0.0, 0.0]
-    for e, c in zip(exps, centers):
-        sums[c] += math.exp(e - top)
+    for s, by_xi in classes:
+        for i, e in enumerate(by_xi):
+            sums[i] += s * math.exp(e - top)
     z = sums[0] + sums[1] + sums[2]  # not sum(), which compensates from Python 3.12 on
     return SpinDistribution(sums[0] / z, sums[1] / z, sums[2] / z)

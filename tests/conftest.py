@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
@@ -135,6 +136,15 @@ def class_loop_max_tv(params) -> float:
     return best
 
 
+def box_configs(box_side) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """The sites of the box {0..box_side-1}^2 in row order and all
+    3^(box_side^2) configurations of their spins, one int row each."""
+    sites = [(i, j) for i in range(box_side) for j in range(box_side)]
+    n = len(sites)
+    powers = 3 ** np.arange(n - 1, -1, -1)
+    return sites, (np.arange(3**n)[:, None] // powers) % 3 - 1
+
+
 def brute_force_marginal(x, y, beta, box_side, ring) -> tuple[float, float, float]:
     """Oracle for finite_volume_marginal: the law of the spin at site
     ((box_side-1)//2, (box_side-1)//2), the centre of a 3x3 box, on the
@@ -145,16 +155,13 @@ def brute_force_marginal(x, y, beta, box_side, ring) -> tuple[float, float, floa
     weights are summed in log space.  It mirrors
     `benchmarks/oracles.py::transfer_marginal`, which reaches the same
     numbers by a row transfer matrix instead of enumeration."""
-    sites = [(i, j) for i in range(box_side) for j in range(box_side)]
-    n = len(sites)
-    powers = 3 ** np.arange(n - 1, -1, -1)
-    configs = (np.arange(3**n)[:, None] // powers) % 3 - 1
+    sites, configs = box_configs(box_side)
     spin = {site: configs[:, k].astype(np.float64) for k, site in enumerate(sites)}
 
     def bond(s, t):
         return -(s * t + y * s * s * t * t + x * (s * s + t * t))
 
-    energy = np.zeros(3**n)
+    energy = np.zeros(len(configs))
     for i, j in sites:
         for other in ((i + 1, j), (i, j + 1)):
             if other in spin:
@@ -172,6 +179,35 @@ def brute_force_marginal(x, y, beta, box_side, ring) -> tuple[float, float, floa
     top = max(log_z)
     total = top + math.log(sum(math.exp(v - top) for v in log_z))
     return tuple(math.exp(v - total) for v in log_z)
+
+
+def decimal_marginal(x, y, beta, box_side, ring, digits=40) -> tuple[Decimal, Decimal, Decimal]:
+    """Oracle to `digits` significant digits for finite_volume_marginal, on
+    the box and ring of brute_force_marginal.  Every one of the 3^(box_side^2)
+    configurations has energy -(A + y B + x C) with integer bond sums A of
+    s s', B of s^2 s'^2 and C of s^2 + s'^2, so the configurations are
+    counted per (centre, A, B, C) and each distinct weight exp(beta (A + y B
+    + x C)) is taken once in stdlib decimal, from x, y and beta converted
+    exactly."""
+    sites, configs = box_configs(box_side)
+    spin = {site: configs[:, k] for k, site in enumerate(sites)}
+    sums = np.zeros((3, len(configs)), dtype=np.int64)  # A, B, C per configuration
+    for i, j in sites:
+        s = spin[(i, j)]
+        others = [spin[o] for o in ((i + 1, j), (i, j + 1)) if o in spin]
+        others += [ring[o] for o in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)) if o in ring]
+        for t in others:
+            sums += np.stack([s * t, s * s * t * t, s * s + t * t])
+    centre = configs[:, sites.index(((box_side - 1) // 2,) * 2)]
+    keys, counts = np.unique(np.vstack([centre, sums]).T, axis=0, return_counts=True)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        dx, dy, db = Decimal(x), Decimal(y), Decimal(beta)
+        weights = [Decimal(0)] * 3
+        for (spin_c, a, b, c), count in zip(keys.tolist(), counts.tolist()):
+            weights[spin_c + 1] += count * (db * (a + dy * b + dx * c)).exp()
+        total = weights[0] + weights[1] + weights[2]
+        return tuple(w / total for w in weights)
 
 
 def cell_tv_table(params, tails: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from itertools import product
 
 import numpy as np
@@ -22,7 +23,7 @@ from beg_dobrushin import (
 from beg_dobrushin import kernel
 from beg_dobrushin.kernel import PAIR_ORDER, classes
 from beg_dobrushin.specification import boundary_ring
-from conftest import brute_force_marginal, cell_tv_table, class_loop_max_tv, full_tails
+from conftest import brute_force_marginal, cell_tv_table, class_loop_max_tv, decimal_marginal, full_tails
 
 spins = st.sampled_from((-1, 0, 1))
 
@@ -89,6 +90,11 @@ class TestConditionalDistribution:
         for g, w in zip(got, want):
             assert g == pytest.approx(w, abs=1e-12)
 
+    def test_normalizer_is_a_left_fold(self):
+        # (w_-1 + w_0) + w_+1 on every Python; sum() would compensate from 3.12 on
+        dist = conditional_distribution(ModelParams(x=0.59, y=-1.33, beta=0.53, d=2), NeighborConfig((-1, -1, 1, 1)))
+        assert dist.as_tuple() == (0.14703971538657515, 0.7059205692268496, 0.14703971538657515)
+
     @given(params_strategy, nb_strategy(2))
     def test_spin_flip_symmetry(self, params, nb):
         flipped = NeighborConfig(tuple(-s for s in nb.spins))
@@ -112,6 +118,12 @@ class TestTotalVariation:
         plus = SpinDistribution(0.0, 0.0, 1.0)
         minus = SpinDistribution(1.0, 0.0, 0.0)
         assert total_variation(plus, minus) == 1
+
+    def test_sum_is_a_left_fold(self):
+        # (|D_-1| + |D_0|) + |D_+1| on every Python; sum() gives 0.44497674185865654 from 3.12 on
+        p = SpinDistribution(0.45825648507699657, 0.43137464589307895, 0.11036886902992461)
+        q = SpinDistribution(0.024879603961665726, 0.8763513877517354, 0.09876900828659885)
+        assert total_variation(p, q) == 0.4449767418586565
 
     @given(prob_triples, prob_triples, prob_triples)
     def test_metric_properties(self, p, q, r):
@@ -302,21 +314,25 @@ class TestFiniteVolumeMarginal:
         "side, x, y, beta, spins, expected",
         [
             (2, -2.5, 0.7, 1.7, [1, 0, -1, -1, 0, 1, 1, 1],
-             (2.486031146389224e-08, 0.9999992302134996, 7.449261891081429e-07)),
+             (2.4860311463892065e-08, 0.9999992302134996, 7.449261891081428e-07)),
             (3, 0.4, 1.5, 0.9, [-1, 0, 1] * 4,
-             (0.4999670860163536, 6.582796731962457e-05, 0.4999670860163267)),
+             (0.4999670860163409, 6.582796731962485e-05, 0.4999670860163395)),
         ],
     )
     def test_pinned_floats(self, side, x, y, beta, spins, expected):
-        # exact floats of one pair_energy call per bond, summed in bond order
+        # the floats of the centre-summed enumeration, each within 2e-15 of
+        # the 40-digit law
         ring = dict(zip(boundary_ring(side), spins))
         dist = finite_volume_marginal(ModelParams(x=x, y=y, beta=beta, d=2), side, ring)
         assert dist.as_tuple() == expected
+        exact = decimal_marginal(x, y, beta, side, ring)
+        for got, want in zip(expected, exact):
+            assert abs(Decimal(got) - want) <= Decimal("2e-15"), (got, want)
 
     @pytest.mark.parametrize("side", [2, 3])
     def test_matches_brute_force_oracle(self, side):
         rng = random.Random(4100 + side)
-        points = [(-1.5, 0.5, 0.8), (0.4, 1.5, 3.0), (-6.2, 0.7, 1.1), (-0.3, -2.5, 2.2)]
+        points = [(-1.5, 0.5, 0.8), (0.4, 1.5, 3.0), (-6.2, 0.7, 1.1), (-0.3, -2.5, 2.2), (-8.0, 3.0, 5.0)]
         sites = boundary_ring(side)
         for x, y, beta in points:
             rings = [dict.fromkeys(sites, s) for s in (-1, 0, 1)]
@@ -325,3 +341,39 @@ class TestFiniteVolumeMarginal:
                 dist = finite_volume_marginal(ModelParams(x=x, y=y, beta=beta, d=2), side, ring)
                 expected = brute_force_marginal(x, y, beta, side, ring)
                 assert dist.as_tuple() == pytest.approx(expected, abs=1e-12), (x, y, beta, ring)
+
+
+def sandwich_excursion(params, side, rings) -> float:
+    """The most by which P(sigma >= 0) or P(sigma = 1) of the centre under one
+    of `rings` leaves the interval between its values under the all -1 and
+    the all +1 rings (negative when every ring stays inside)."""
+
+    def stats(boundary):
+        dist = finite_volume_marginal(params, side, boundary)
+        return (dist.p_zero + dist.p_plus, dist.p_plus)
+
+    lo, hi = stats(-1), stats(1)
+    return max(max(a - v, v - b) for ring in rings for a, v, b in zip(lo, stats(ring), hi))
+
+
+class TestFKGSandwich:
+    """For |y| <= 1 the bond weight exp(beta (a b + y a^2 b^2)) is
+    log-supermodular in the order -1 < 0 < +1, so by FKG (Fortuin, Kasteleyn
+    and Ginibre 1971; Holley 1974) the centre law under any ring lies, in
+    stochastic order, between its laws under the all -1 and all +1 rings."""
+
+    @pytest.mark.parametrize("side", [2, 3])
+    @pytest.mark.parametrize("beta", [0.5, 2.0])
+    @pytest.mark.parametrize("x, y", [(-1.2, 0.0), (-1.1, 0.9), (-0.3, -0.9), (-2.0, 1.0), (-1.0, -1.0)])
+    def test_every_ring_lies_between_the_constant_rings(self, x, y, beta, side):
+        rng = random.Random(1971 + side)
+        sites = boundary_ring(side)
+        rings = [0] + [{site: rng.choice((-1, 0, 1)) for site in sites} for _ in range(10)]
+        assert sandwich_excursion(ModelParams(x=x, y=y, beta=beta, d=2), side, rings) <= 1e-15
+
+    @pytest.mark.parametrize("beta, expected", [(0.5, 1.6117193200592725e-2), (1.0, 1.608330880386033e-3)])
+    def test_band_c_leaves_the_sandwich(self, beta, expected):
+        # at y = -2.5 the bond weight is not log-supermodular: on the 3x3 box
+        # the all-0 ring puts P(sigma >= 0) above its value under the +1 ring
+        params = ModelParams(x=-1.0, y=-2.5, beta=beta, d=2)
+        assert sandwich_excursion(params, 3, [0]) == pytest.approx(expected, rel=1e-9)
